@@ -8,12 +8,6 @@ time per rank count goes to ``results/scaling_smoke.csv`` and the
 machine-readable trajectory — wall time, engine events/s and speedup over the
 per-rank-count baseline — to ``results/BENCH_engine.json``.
 
-``REPRO_SMOKE_ENGINE`` selects the simulation backend (``coroutine`` by
-default, ``threads`` for the reference backend — capped at 2048 ranks, one OS
-thread per rank does not survive 8192).  The threads run records its own
-trajectory under ``BENCH_engine_threads.json`` so the CI engine matrix never
-clobbers the coroutine baseline.
-
 Three gates run against the BENCH file loaded *before* this run rewrote it,
 so an engine regression fails tier-1 instead of silently shipping:
 
@@ -22,8 +16,8 @@ so an engine regression fails tier-1 instead of silently shipping:
 * events/s per rank count at least half the recorded rate (rows too fast to
   time reliably are skipped);
 * monotone-or-flat events/s across the sweep itself, out to 8192 ranks: no
-  rank count may fall below half the best rate at smaller counts (coroutine
-  engine only — the thread backend's collapse to 0.14x by 2048 ranks is
+  rank count may fall below half the best rate at smaller counts (the
+  retired thread-per-rank engine's collapse to 0.14x by 2048 ranks is
   exactly what this catches).
 
 ``speedup_vs_baseline`` is measured against a per-rank-count baseline map
@@ -51,7 +45,6 @@ budget the observability layer was designed against.  Rows go to
 
 from __future__ import annotations
 
-import os
 import time
 
 from repro.dag import DAGCAQRConfig, DAGFactorizationConfig, run_dag_caqr, run_dag_factorization
@@ -77,15 +70,10 @@ from benchmarks.conftest import (
     wall_gate_failures,
 )
 
-#: Simulation backend exercised by the sweep (CI runs both via this knob).
-ENGINE = os.environ.get("REPRO_SMOKE_ENGINE", "coroutine")
-
 #: Rank counts of the sweep (4 clusters x nodes x 2 processes/node).
 RANK_COUNTS = (32, 128, 512, 2048, 8192)
 #: Extra scale exercised by the full sweep only.
 FULL_RANK_COUNTS = (32768,)
-#: The thread-backed reference engine spawns one OS thread per rank; cap it.
-THREADS_MAX_RANKS = 2048
 
 #: Per-rank-count baselines of the ``speedup_vs_baseline`` column.  32-512 are
 #: the pre-fast-path seed engine's scaling_smoke.csv rows; 2048 is the
@@ -142,8 +130,7 @@ def _platform(n_ranks: int) -> Platform:
 
 
 def test_engine_scaling_smoke(results_dir, bench_json):
-    bench_name = "engine" if ENGINE == "coroutine" else f"engine_{ENGINE}"
-    baseline = load_bench_json(bench_name, results_dir) or {}
+    baseline = load_bench_json("engine", results_dir) or {}
     prev_rows = baseline.get("rows", [])
     prev_dag_rows = [r for r in [(baseline.get("dag") or {}).get("row")] if r]
     prev_chol_rows = [r for r in [(baseline.get("dag_cholesky") or {}).get("row")] if r]
@@ -155,8 +142,6 @@ def test_engine_scaling_smoke(results_dir, bench_json):
         baselines.setdefault(int(key), wall)
 
     rank_counts = RANK_COUNTS + (FULL_RANK_COUNTS if full_sweep() else ())
-    if ENGINE == "threads":
-        rank_counts = tuple(n for n in rank_counts if n <= THREADS_MAX_RANKS)
 
     rows = []
     bench_rows = []
@@ -164,7 +149,7 @@ def test_engine_scaling_smoke(results_dir, bench_json):
         platform = _platform(n_ranks)
         config = TSQRConfig(m=n_ranks * 4096, n=64)  # virtual payload
         start = time.perf_counter()
-        result = run_parallel_tsqr(platform, config, engine=ENGINE)
+        result = run_parallel_tsqr(platform, config)
         wall_s = time.perf_counter() - start
         events = result.trace.total_events
         # First measurement of a new rank count becomes its baseline, pinned
@@ -195,10 +180,7 @@ def test_engine_scaling_smoke(results_dir, bench_json):
         assert result.makespan_s > 0.0
         assert wall_s < 30.0
     report_rows(
-        f"Engine scaling smoke (wall time vs ranks, {ENGINE} engine)",
-        rows,
-        results_dir,
-        "scaling_smoke.csv" if ENGINE == "coroutine" else f"scaling_smoke_{ENGINE}.csv",
+        "Engine scaling smoke (wall time vs ranks)", rows, results_dir, "scaling_smoke.csv"
     )
 
     # A 512-rank task-DAG CAQR point tracks the dataflow runtime's engine
@@ -207,7 +189,7 @@ def test_engine_scaling_smoke(results_dir, bench_json):
     dag_platform = _platform(512)
     dag_config = DAGCAQRConfig(m=512 * 512, n=128, tile_size=64, priority="critical-path")
     start = time.perf_counter()
-    dag_result = run_dag_caqr(dag_platform, dag_config, engine=ENGINE)
+    dag_result = run_dag_caqr(dag_platform, dag_config)
     dag_wall = time.perf_counter() - start
     dag_events = dag_result.trace.total_events
     dag_row = {
@@ -220,10 +202,7 @@ def test_engine_scaling_smoke(results_dir, bench_json):
         "events_per_s": round(dag_events / dag_wall, 1) if dag_wall > 0 else None,
     }
     report_rows(
-        f"DAG runtime smoke (512 ranks, {ENGINE} engine)",
-        [dag_row],
-        results_dir,
-        "scaling_smoke_dag.csv" if ENGINE == "coroutine" else f"scaling_smoke_dag_{ENGINE}.csv",
+        "DAG runtime smoke (512 ranks)", [dag_row], results_dir, "scaling_smoke_dag.csv"
     )
     assert dag_result.critical_path_s <= dag_result.makespan_s
     assert dag_wall < 30.0
@@ -236,7 +215,7 @@ def test_engine_scaling_smoke(results_dir, bench_json):
         m=4096, n=4096, tile_size=64, priority="critical-path", algorithm="cholesky"
     )
     start = time.perf_counter()
-    chol_result = run_dag_factorization(dag_platform, chol_config, engine=ENGINE)
+    chol_result = run_dag_factorization(dag_platform, chol_config)
     chol_wall = time.perf_counter() - start
     chol_events = chol_result.trace.total_events
     chol_row = {
@@ -249,12 +228,10 @@ def test_engine_scaling_smoke(results_dir, bench_json):
         "events_per_s": round(chol_events / chol_wall, 1) if chol_wall > 0 else None,
     }
     report_rows(
-        f"DAG-Cholesky runtime smoke (512 ranks, {ENGINE} engine)",
+        "DAG-Cholesky runtime smoke (512 ranks)",
         [chol_row],
         results_dir,
-        "scaling_smoke_dag_cholesky.csv"
-        if ENGINE == "coroutine"
-        else f"scaling_smoke_dag_cholesky_{ENGINE}.csv",
+        "scaling_smoke_dag_cholesky.csv",
     )
     assert chol_result.critical_path_s <= chol_result.makespan_s
     assert chol_wall < 30.0
@@ -267,17 +244,15 @@ def test_engine_scaling_smoke(results_dir, bench_json):
     overhead_rows = []
     overhead_failures = []
     for n_ranks in TRACING_OVERHEAD_RANKS:
-        if ENGINE == "threads" and n_ranks > THREADS_MAX_RANKS:
-            continue
         platform = _platform(n_ranks)
         config = TSQRConfig(m=n_ranks * 4096, n=64)
         wall_on = wall_off = float("inf")
         for _ in range(TRACING_OVERHEAD_REPEATS):
             start = time.perf_counter()
-            run_parallel_tsqr(platform, config, engine=ENGINE, streaming_stats=False)
+            run_parallel_tsqr(platform, config, streaming_stats=False)
             wall_off = min(wall_off, time.perf_counter() - start)
             start = time.perf_counter()
-            result = run_parallel_tsqr(platform, config, engine=ENGINE, streaming_stats=True)
+            result = run_parallel_tsqr(platform, config, streaming_stats=True)
             wall_on = min(wall_on, time.perf_counter() - start)
         assert result.trace.stats is not None  # streaming mode actually ran
         limit = wall_off * TRACING_OVERHEAD_FACTOR + TRACING_OVERHEAD_SLACK_S
@@ -296,12 +271,10 @@ def test_engine_scaling_smoke(results_dir, bench_json):
                 f"vs {wall_off:.3f}s without (limit {limit:.3f}s)"
             )
     report_rows(
-        f"Streaming-stats overhead (wall on vs off, {ENGINE} engine)",
+        "Streaming-stats overhead (wall on vs off)",
         overhead_rows,
         results_dir,
-        "scaling_smoke_tracing.csv"
-        if ENGINE == "coroutine"
-        else f"scaling_smoke_tracing_{ENGINE}.csv",
+        "scaling_smoke_tracing.csv",
     )
 
     # Gate limits derive from the baseline loaded *before* this run rewrote
@@ -309,10 +282,9 @@ def test_engine_scaling_smoke(results_dir, bench_json):
     # numbers, so a CI failure uploads both (and git keeps the committed
     # baseline for recovery).
     bench_json(
-        bench_name,
+        "engine",
         {
             "benchmark": "engine_scaling_smoke",
-            "engine": ENGINE,
             "workload": "virtual-payload TSQR, M = ranks * 4096, N = 64, "
                         "4 clusters x 2 processes/node",
             "baseline_wall_s": {n: baselines[n] for n in sorted(baselines)},
@@ -373,16 +345,13 @@ def test_engine_scaling_smoke(results_dir, bench_json):
         factor=REGRESSION_FACTOR, min_wall_s=EVENTS_GATE_MIN_WALL_S,
         label="DAG-Cholesky ",
     )
-    if ENGINE == "coroutine":
-        # The reference thread backend collapses superlinearly by design
-        # limitation; only the generator core promises a flat profile.  The
-        # promise extends out to 8192 ranks — the full-sweep 32768 row is
-        # tracked by the wall and events/s gates but sits at memory scales
-        # where the rate legitimately dips below the flatness floor.
-        failures += events_flatness_failures(
-            [r for r in bench_rows if r["ranks"] <= RANK_COUNTS[-1]],
-            collapse_ratio=FLATNESS_COLLAPSE_RATIO,
-            min_wall_s=EVENTS_GATE_MIN_WALL_S,
-        )
+    # The flat profile is promised out to 8192 ranks — the full-sweep
+    # 32768 row is tracked by the wall and events/s gates but sits at memory
+    # scales where the rate legitimately dips below the flatness floor.
+    failures += events_flatness_failures(
+        [r for r in bench_rows if r["ranks"] <= RANK_COUNTS[-1]],
+        collapse_ratio=FLATNESS_COLLAPSE_RATIO,
+        min_wall_s=EVENTS_GATE_MIN_WALL_S,
+    )
     failures += overhead_failures
     assert not failures, "engine regression gate:\n  " + "\n  ".join(failures)

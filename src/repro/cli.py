@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.dag.placement import PLACEMENT_POLICIES, PRIORITY_POLICIES
 from repro.experiments import (
     CAQR_SWEEP_N,
@@ -1009,7 +1009,12 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point of ``python -m repro`` and the ``repro-grid`` script."""
+    """Entry point of ``python -m repro`` and the ``repro-grid`` script.
+
+    A :class:`~repro.exceptions.ReproError` (an invalid configuration, a
+    failed simulation, an unreachable server) is reported as one
+    ``error: <message>`` line on stderr with exit code 2, not a traceback.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {
@@ -1019,7 +1024,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         "serve": _cmd_serve,
         "query": _cmd_query,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__.py

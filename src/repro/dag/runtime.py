@@ -721,7 +721,6 @@ def run_dag_factorization(
     *,
     record_messages: bool = False,
     record_schedule: bool = False,
-    engine: str | None = None,
     failures: FailureSchedule | None = None,
     baseline_makespan_s: float | None = None,
 ) -> DAGRunResult:
@@ -779,13 +778,10 @@ def run_dag_factorization(
             collect,
             flop_count=config.flop_count(),
             record_messages=record_messages,
-            engine=engine,
         )
     else:
         if baseline_makespan_s is None:
-            baseline_makespan_s = run_dag_factorization(
-                platform, config, engine=engine
-            ).makespan_s
+            baseline_makespan_s = run_dag_factorization(platform, config).makespan_s
         report: dict = {}
         run = run_program(
             platform,
@@ -798,7 +794,6 @@ def run_dag_factorization(
             report,
             flop_count=config.flop_count(),
             record_messages=record_messages,
-            engine=engine,
             failures=failures,
         )
         if report:
@@ -842,7 +837,6 @@ def run_dag_caqr(
     *,
     record_messages: bool = False,
     record_schedule: bool = False,
-    engine: str | None = None,
     failures: FailureSchedule | None = None,
     baseline_makespan_s: float | None = None,
 ) -> DAGRunResult:
@@ -863,7 +857,6 @@ def run_dag_caqr(
         config,
         record_messages=record_messages,
         record_schedule=record_schedule,
-        engine=engine,
         failures=failures,
         baseline_makespan_s=baseline_makespan_s,
     )
@@ -879,7 +872,6 @@ def run_dag_tsqr(
     priority: str = "fifo",
     record_messages: bool = False,
     record_schedule: bool = False,
-    engine: str | None = None,
 ) -> DAGRunResult:
     """Run the TSQR reduction-tree DAG with one domain per platform rank.
 
@@ -906,7 +898,6 @@ def run_dag_tsqr(
         collect,
         flop_count=qr_flops(m, n),
         record_messages=record_messages,
-        engine=engine,
     )
     r = None
     if matrix is not None:

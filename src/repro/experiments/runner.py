@@ -394,9 +394,7 @@ class ExperimentRunner:
             pending = cold
         if self.jobs <= 1 or len(pending) < 2:
             return
-        # fork keeps worker start-up cheap (no re-import of numpy); the rank
-        # worker pool of the parent is reset in the child by the executor's
-        # at-fork hook, so inherited pool bookkeeping cannot leak.
+        # fork keeps worker start-up cheap (no re-import of numpy).
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
         with ctx.Pool(

@@ -11,10 +11,11 @@ Layering (bottom to top):
 * :mod:`machine`, :mod:`network`, :mod:`topology` — platform description;
 * :mod:`kernelmodel` — per-kernel compute rates (Property 2 of the paper);
 * :mod:`platform` — the bundle of the above + per-run mutable state;
-* :mod:`scheduler` — the virtual-time cooperative scheduler (one runnable
-  rank at a time, event-driven blocking, instant deadlock detection);
+* :mod:`engine` — the single-threaded virtual-time scheduler (rank programs
+  are generators, one runnable rank at a time, event-driven blocking,
+  instant deadlock detection);
 * :mod:`collectives`, :mod:`communicator` — simulated MPI;
-* :mod:`executor` — thread-per-rank SPMD execution under the scheduler;
+* :mod:`executor` — SPMD execution, one generator program per rank;
 * :mod:`middleware` — the QCG-OMPI analogue (JobProfile, meta-scheduler,
   topology attributes, per-group communicators);
 * :mod:`trace` — message/byte/flop accounting behind Tables I and II.
@@ -44,7 +45,6 @@ from repro.gridsim.middleware import (
 )
 from repro.gridsim.network import LinkClass, LinkSpec, NetworkModel
 from repro.gridsim.platform import Platform, SimulationState
-from repro.gridsim.scheduler import VirtualTimeScheduler
 from repro.gridsim.topology import (
     ProcessLocation,
     ProcessPlacement,
@@ -90,7 +90,6 @@ __all__ = [
     "NetworkModel",
     "Platform",
     "SimulationState",
-    "VirtualTimeScheduler",
     "ProcessLocation",
     "ProcessPlacement",
     "block_placement",

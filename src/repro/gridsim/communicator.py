@@ -436,8 +436,7 @@ class CommCore:
                 yield Park(
                     "collective",
                     (self.comm_id, my_gen),
-                    # Lazy: formatted only at deadlock detection, where both
-                    # backends observe the same arrival count.
+                    # Lazy: formatted only at deadlock detection.
                     lambda: f"collective {kind!r} on communicator {self.name!r} "
                     f"({len(rv.entries)}/{self.size} ranks arrived)",
                 )
@@ -555,8 +554,8 @@ class CommCore:
         of the trace covers collective compute too.  The streaming busy
         timeline places each combine at the parent's *entry* clock — a
         deliberately coarse attribution (the exact exit clock lives inside
-        the reduce simulation), deterministic across backends because
-        ``clocks`` is the same entry snapshot on both.
+        the reduce simulation), deterministic because ``clocks`` is the
+        entry snapshot.
         """
         acc = list(values)
         kernel_model = self.state.platform.kernel_model

@@ -3,18 +3,11 @@
 Rank programs are written as Python *generators*: every potentially blocking
 operation (``recv`` on an empty mailbox, an incomplete collective rendezvous,
 a voluntary ``yield_turn``) suspends the program by ``yield``-ing a small
-request object to whoever drives the generator.  Two drivers exist:
-
-* :class:`CoroutineScheduler` — the default backend.  One ordinary Python
-  loop owns the virtual-clock ready heap and resumes one rank generator at a
-  time; a blocked rank is literally a suspended generator in a dict.  There
-  are no OS threads, no semaphores, no GIL hand-offs — resuming a rank is a
-  single ``gen.send(None)``.
-* :func:`drive_on_thread` — the reference backend.  Each rank generator is
-  driven by its own cooperative thread (the pre-existing
-  :class:`~repro.gridsim.scheduler.VirtualTimeScheduler` machinery): a
-  yielded request is translated into the corresponding blocking scheduler
-  call (``park`` / ``yield_turn``) on that thread.
+request object to the :class:`CoroutineScheduler`.  One ordinary Python loop
+owns the virtual-clock ready heap and resumes one rank generator at a time;
+a blocked rank is literally a suspended generator in a list.  There are no
+OS threads, no semaphores, no GIL hand-offs — resuming a rank is a single
+``gen.send(None)``.
 
 The request protocol is deliberately tiny:
 
@@ -26,13 +19,11 @@ The request protocol is deliberately tiny:
 * ``SWITCH`` — hand the CPU back voluntarily and resume in virtual-clock
   order (the cooperative ``yield_turn``).
 
-Both backends make every scheduling decision with the *same* data
-structures (ready heap + one-element direct slot, waiter table keyed by
-``(kind, key)``, wake re-keyed by the woken rank's current clock) and the
-same tie-breaking (minimum ``(virtual clock, rank id)``), so the event
-order — and therefore the trace, the clocks and the makespan — is a pure
-function of the program and bit-identical across backends.  The
-equivalence suite (``tests/gridsim/test_engine_equivalence.py``) pins this.
+Every scheduling decision takes the runnable rank with the minimum
+``(virtual clock, rank id)``, and a woken rank is re-keyed by its current
+clock, so the event order — and therefore the trace, the clocks and the
+makespan — is a pure function of the program.  The golden hashes of
+``tests/gridsim/test_engine_equivalence.py`` pin this.
 """
 
 from __future__ import annotations
@@ -40,32 +31,33 @@ from __future__ import annotations
 import gc
 import heapq
 from types import GeneratorType
-from typing import TYPE_CHECKING, Callable, Hashable, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Mapping, Sequence
 
-from repro.exceptions import DeadlockError
+from repro.exceptions import DeadlockError, SimulationError
 from repro.gridsim.failures import _RankDeath
-from repro.gridsim.scheduler import (
-    RankStatus,
-    WaitInfo,
-    format_deadlock,
-    raise_if_aborted,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (platform -> engine)
     from repro.gridsim.platform import SimulationState
 
-__all__ = ["Park", "SWITCH", "drive_on_thread", "CoroutineScheduler"]
+__all__ = ["Park", "SWITCH", "RankStatus", "CoroutineScheduler", "format_deadlock"]
+
+
+class RankStatus:
+    """Lifecycle states of a simulated rank."""
+
+    READY = "ready"  # in the ready set, waiting to be granted the CPU
+    RUNNING = "running"  # the (single) rank currently executing
+    BLOCKED = "blocked"  # parked on an unsatisfied dependency
+    DONE = "done"  # program returned or raised
 
 
 class Park:
     """Request: suspend the yielding rank until ``(kind, key)`` is produced.
 
-    The driving backend registers the rank in its waiter table and resumes
-    the generator only after a matching
-    ``scheduler.unpark(kind, key)`` — or immediately when the simulation
-    has aborted, in which case the resumed code re-checks the abort flag
-    and raises (exactly the contract of the blocking ``park`` call the
-    threads backend maps this onto).
+    The scheduler registers the rank in its waiter table and resumes the
+    generator only after a matching ``scheduler.unpark(kind, key)`` — or
+    immediately when the simulation has aborted, in which case the resumed
+    code re-checks the abort flag and raises.
     """
 
     __slots__ = ("kind", "key", "detail")
@@ -88,47 +80,40 @@ class _Switch:
         return "SWITCH"
 
 
-#: The one voluntary-yield request (identity-compared by the drivers).
+#: The one voluntary-yield request (identity-compared by the scheduler).
 SWITCH = _Switch()
 
 
-def drive_on_thread(gen: GeneratorType, scheduler, rank: int) -> object:
-    """Drive a rank generator to completion on the calling (rank) thread.
-
-    The reference backend: each yielded request becomes the corresponding
-    blocking call on the thread-based
-    :class:`~repro.gridsim.scheduler.VirtualTimeScheduler`, so the thread
-    suspends exactly where the coroutine backend would suspend the
-    generator.  Returns the program's return value.
-    """
-    try:
-        req = gen.send(None)
-        while True:
-            if req is SWITCH:
-                scheduler.yield_turn(rank)
-            else:
-                scheduler.park(rank, req.kind, req.key, req.detail)
-            req = gen.send(None)
-    except StopIteration as stop:
-        return stop.value
+def format_deadlock(
+    blocked: Sequence[int], waiting: Mapping[int, Park], done: int
+) -> str:
+    """Build the deadlock message with its per-rank wait graph."""
+    lines = [
+        f"deadlock detected: all {len(blocked)} live rank(s) are blocked "
+        "and no pending event can unblock them"
+    ]
+    for rank in blocked:
+        park = waiting.get(rank)
+        detail = park.detail if park is not None else "unknown wait"
+        if callable(detail):
+            detail = detail()
+        lines.append(f"  rank {rank}: waiting on {detail}")
+    if done:
+        lines.append(f"  ({done} rank(s) already finished)")
+    return "\n".join(lines)
 
 
 class CoroutineScheduler:
     """Single-threaded event loop driving every rank as a suspended generator.
 
-    Mirrors :class:`~repro.gridsim.scheduler.VirtualTimeScheduler` decision
-    for decision — same ready heap keyed by ``(clock, rank)``, same
-    one-element direct-dispatch slot, same waiter table, same wake-re-keying
-    — but replaces the semaphore handoff with ``gen.send(None)``.  Resuming
-    a rank costs one generator switch instead of two OS context switches,
-    which is where the 20x+ events/s of the coroutine backend comes from.
+    The ready heap is keyed by ``(clock, rank)``, with a one-element
+    direct-dispatch slot in front of it; parked ranks sit in a waiter table
+    keyed by ``(kind, key)`` and are re-keyed by their clock when woken.
+    Resuming a rank is one ``gen.send(None)``.
 
-    The scheduler exposes the same surface the communicator and the
-    simulation state use on the threads scheduler (:meth:`unpark`,
-    :meth:`wake_all_blocked`, :meth:`check_abort`, :meth:`status`); the
-    blocking entry points (``park`` / ``yield_turn`` / ``wait_for_turn``)
-    do not exist here — their work is done by the loop when a generator
-    yields ``Park`` / ``SWITCH``.
+    The communicator and the simulation state call :meth:`unpark`,
+    :meth:`wake_all_blocked` and :meth:`check_abort`; parking and yielding
+    happen in the loop, when a generator yields ``Park`` / ``SWITCH``.
     """
 
     def __init__(self, ranks: Sequence[int], state: "SimulationState") -> None:
@@ -141,11 +126,11 @@ class CoroutineScheduler:
         self._status: list[RankStatus] = [RankStatus.DONE] * n_slots
         for r in self._ranks:
             self._status[r] = RankStatus.READY
-        #: rank -> its pending wait (a Park, which duck-types WaitInfo).
-        self._waiting: dict[int, WaitInfo | Park] = {}
+        #: rank -> the Park request it is suspended on.
+        self._waiting: dict[int, Park] = {}
         self._waiters: dict[tuple[str, Hashable], list[int]] = {}
         #: Ready heap: (virtual clock at enqueue time, rank); ties broken by
-        #: rank id — identical to the threads scheduler.
+        #: rank id, so the pop order is a pure function of simulation state.
         self._ready: list[tuple[float, int]] = [(0.0, r) for r in sorted(self._ranks)]
         heapq.heapify(self._ready)
         #: Direct-dispatch slot: at most one READY rank held outside the heap
@@ -174,8 +159,7 @@ class CoroutineScheduler:
         (driven by this loop).  ``on_result`` / ``on_error`` receive each
         rank's return value or exception; after a failure the remaining
         started ranks are resumed so they observe the abort flag and raise,
-        while never-started ranks are skipped entirely — matching the
-        threads backend's rank lifecycle exactly.
+        while never-started ranks are skipped entirely.
         """
         state = self._state
         status = self._status
@@ -201,10 +185,11 @@ class CoroutineScheduler:
                 blocked = [r for r in self._ranks if status[r] is RankStatus.BLOCKED]
                 if not blocked:
                     return
-                if not state.aborted:
+                if state.aborted:
+                    # Resume every parked rank so it can observe the abort.
+                    self.wake_all_blocked()
+                else:
                     self._deadlock(blocked)
-                # Resume every released rank so it can observe the abort.
-                self.wake_all_blocked()
                 continue
             status[rank] = RankStatus.RUNNING
             try:
@@ -213,8 +198,7 @@ class CoroutineScheduler:
                     if rank not in self._started:
                         self._started.add(rank)
                         if state.aborted:
-                            # A failure elsewhere: never start this program
-                            # (the threads backend's post-wait abort check).
+                            # A failure elsewhere: never start this program.
                             self._finish(rank)
                             continue
                         out = start(rank)
@@ -229,17 +213,14 @@ class CoroutineScheduler:
                 while True:
                     req = gen.send(None)
                     if state.aborted:
-                        # Mirror the blocking calls' immediate return under
-                        # abort: resume at once so the program's abort
-                        # re-check raises.
+                        # Resume at once so the program's abort re-check
+                        # raises.
                         continue
                     if req is SWITCH:
                         status[rank] = RankStatus.READY
                         self._enqueue_ready((state.clock(rank), rank))
                     else:
                         status[rank] = RankStatus.BLOCKED
-                        # The Park duck-types WaitInfo (kind/key/detail): store
-                        # it directly instead of allocating a copy per park.
                         self._waiting[rank] = req
                         self._waiters.setdefault((req.kind, req.key), []).append(rank)
                     break
@@ -268,8 +249,10 @@ class CoroutineScheduler:
     def _enqueue_ready(self, entry: tuple[float, int]) -> None:
         """Insert a READY rank's ``(clock, rank)`` into the runnable set.
 
-        Same slot-or-heap policy as the threads scheduler, so the pop order
-        (and thus the trace) is identical.
+        A likely-minimum entry takes the direct slot (the fast path for the
+        send-wakes-one-receiver pattern and for yields); everything else goes
+        to the heap.  :meth:`_pop_min_ready` considers slot and heap
+        together, so the pop order is that of one priority queue.
         """
         direct = self._direct
         if direct is None and (not self._ready or entry < self._ready[0]):
@@ -298,14 +281,13 @@ class CoroutineScheduler:
                     self._obs_tick = self._obs.on_tick(entry[0])
                 return rank
 
-    # ----------------------------------------------- shared scheduler surface
+    # ------------------------------------------------------------- wake-ups
     def unpark(self, kind: str, key: Hashable) -> None:
         """Make every rank parked on ``(kind, key)`` runnable again.
 
         Called synchronously from within a running rank (a ``send`` waking a
         receiver, a completing collective); the woken ranks re-enter the
-        ready set keyed by their *current* virtual clock, exactly as on the
-        threads backend.
+        ready set keyed by their *current* virtual clock.
         """
         ranks = self._waiters.pop((kind, key), None)
         if not ranks:
@@ -320,7 +302,14 @@ class CoroutineScheduler:
             self._enqueue_ready((clock_of(rank), rank))
 
     def wake_all_blocked(self) -> None:
-        """Move every parked rank to READY so it can observe the abort flag."""
+        """Move every parked rank to READY, re-keyed by its clock.
+
+        Used on abort (the woken ranks observe the abort flag and raise) and
+        by the failure-detector broadcast after an injected rank death (the
+        woken survivors re-check their wait and either re-park or observe the
+        revoked communicator).  A woken rank only ever resumes through the
+        main loop, in virtual-clock order.
+        """
         clock_of = self._state.clock
         status = self._status
         for rank in self._ranks:
@@ -329,27 +318,18 @@ class CoroutineScheduler:
                 self._waiting.pop(rank, None)
                 self._enqueue_ready((clock_of(rank), rank))
 
-    def requeue_blocked(self) -> None:
-        """Requeue every parked rank after an injected rank death.
-
-        On this backend a woken rank only ever resumes through the main
-        loop, so the selective wake used for aborts is already safe for
-        live (non-abort) use; the threads backend needs a separate
-        implementation because its abort wake floods semaphores.
-        """
-        self.wake_all_blocked()
-
-    def status(self, rank: int) -> str:
-        """Current lifecycle state of ``rank`` (for tests and debugging)."""
-        return self._status[rank]
-
     def check_abort(self) -> None:
         """Raise if the simulation has failed (deadlock errors keep their type)."""
-        raise_if_aborted(self._state)
+        state = self._state
+        if not state.aborted:
+            return
+        failure = state.failure
+        if isinstance(failure, DeadlockError):
+            raise DeadlockError(str(failure))
+        raise SimulationError(f"simulation aborted: {failure!r}") from failure
 
     # -------------------------------------------------------------- deadlock
     def _deadlock(self, blocked: list[int]) -> None:
         """Fail the simulation with the wait graph of every parked rank."""
         done = sum(1 for r in self._ranks if self._status[r] is RankStatus.DONE)
-        message = format_deadlock(blocked, self._waiting, done)
-        self._state.record_failure(DeadlockError(message))
+        self._state.fail(DeadlockError(format_deadlock(blocked, self._waiting, done)))

@@ -9,23 +9,9 @@ blocked rank suspends until the event it waits for occurs, and a cyclic wait
 raises :class:`~repro.exceptions.DeadlockError` immediately with a per-rank
 wait graph.
 
-**Engine backends.**  Rank programs are generators (blocking communicator
-calls are driven with ``yield from``); the ``engine=`` selector chooses how
-they are resumed:
-
-* ``"coroutine"`` (default) — the single-threaded
-  :class:`~repro.gridsim.engine.CoroutineScheduler` event loop resumes one
-  generator at a time; no OS threads, no semaphores, no GIL hand-offs.
-* ``"threads"`` — the reference backend: one cooperative pooled worker
-  thread per rank drives its generator through the semaphore-handoff
-  :class:`~repro.gridsim.scheduler.VirtualTimeScheduler`.  Worker threads
-  come from a lazily-grown module-level pool (:class:`_RankWorkerPool`)
-  reset transparently in forked children.
-* ``"threads-fresh"`` — the threads backend with fresh OS threads per run
-  instead of the pool (the pooled-vs-fresh equivalence tests).
-
-Scheduling decisions are identical across backends — the equivalence suite
-asserts bit-identical results, clocks and trace event streams.  Programs
+Rank programs are generators (blocking communicator calls are driven with
+``yield from``) resumed one at a time by the single-threaded
+:class:`~repro.gridsim.engine.CoroutineScheduler` event loop.  Programs
 that never block (only ``send``/``probe``/``compute``) may remain plain
 functions; the executor detects generator programs at runtime.
 
@@ -38,12 +24,7 @@ trace event streams.
 
 from __future__ import annotations
 
-import os
-import threading
-import warnings
 from dataclasses import dataclass, field
-from queue import SimpleQueue
-from types import GeneratorType
 from typing import Callable, Hashable, Sequence, TypeVar
 
 from repro.exceptions import (
@@ -53,16 +34,13 @@ from repro.exceptions import (
     SimulationError,
 )
 from repro.gridsim.communicator import CommCore, CommHandle
-from repro.gridsim.engine import SWITCH, drive_on_thread
-from repro.gridsim.failures import FailureSchedule, _RankDeath
+from repro.gridsim.engine import SWITCH
+from repro.gridsim.failures import FailureSchedule
 from repro.gridsim.platform import Platform, SimulationState
 from repro.gridsim.topology import ProcessLocation
 from repro.gridsim.trace import TraceSummary
 
 __all__ = ["RankContext", "SimulationResult", "SPMDExecutor", "run_spmd"]
-
-#: Engine backends accepted by :class:`SPMDExecutor`.
-ENGINES = ("coroutine", "threads", "threads-fresh")
 
 T = TypeVar("T")
 
@@ -115,8 +93,10 @@ class RankContext:
         A generator (drive with ``yield from ctx.yield_turn()``).
         Long-running programs call this between work items (the DAG
         runtime's per-rank ready loops) so every rank advances in
-        virtual-time order; see
-        :meth:`~repro.gridsim.scheduler.VirtualTimeScheduler.yield_turn`.
+        virtual-time order: the rank is re-keyed by its current clock and
+        runs again when it is the minimum, so every runnable peer with an
+        earlier clock has executed at least up to this rank's clock — a
+        mailbox probe after the yield gets the causally correct answer.
         """
         yield SWITCH
 
@@ -155,107 +135,6 @@ class SimulationResult:
 RankProgram = Callable[..., object]
 
 
-class _RankWorkerPool:
-    """Lazily-grown pool of reusable daemon threads, one per concurrent rank.
-
-    Workers are generic: each blocks on its own task queue, runs the closure
-    it is handed, then returns itself to the idle list.  A run that needs P
-    workers takes (or spawns) exactly P; nested or concurrent runs simply
-    grow the pool, so exhaustion cannot deadlock.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._idle: list[_PoolWorker] = []
-        self._spawned = 0
-
-    def run_all(self, tasks: Sequence[tuple[Callable[[], None], str]]) -> None:
-        """Run every ``(closure, thread_name)`` task and block until all finish.
-
-        A closure that raises (rank-program failures are caught upstream, so
-        this means an executor bug) is recorded and re-raised here after all
-        tasks complete; the worker itself always survives.
-        """
-        if not tasks:
-            return
-        done = threading.Semaphore(0)
-        failures: list[BaseException] = []
-        workers: list[_PoolWorker] = []
-        with self._lock:
-            while len(self._idle) < len(tasks):
-                self._idle.append(_PoolWorker(self, self._spawned))
-                self._spawned += 1
-            for _ in tasks:
-                workers.append(self._idle.pop())
-        for worker, (fn, name) in zip(workers, tasks):
-            worker.submit(fn, name, done, failures)
-        for _ in tasks:
-            done.acquire()
-        if failures:
-            raise failures[0]
-
-    def _release(self, worker: "_PoolWorker") -> None:
-        with self._lock:
-            self._idle.append(worker)
-
-    @property
-    def size(self) -> int:
-        """Number of worker threads ever spawned by this pool (for tests)."""
-        with self._lock:
-            return self._spawned
-
-
-class _PoolWorker:
-    """One reusable worker thread of the :class:`_RankWorkerPool`."""
-
-    def __init__(self, pool: _RankWorkerPool, index: int) -> None:
-        self._pool = pool
-        self._tasks: SimpleQueue = SimpleQueue()
-        self._thread = threading.Thread(
-            target=self._loop, name=f"gridsim-worker-{index}", daemon=True
-        )
-        self._thread.start()
-
-    def submit(
-        self,
-        fn: Callable[[], None],
-        name: str,
-        done: threading.Semaphore,
-        failures: list[BaseException],
-    ) -> None:
-        self._tasks.put((fn, name, done, failures))
-
-    def _loop(self) -> None:
-        while True:
-            fn, name, done, failures = self._tasks.get()
-            self._thread.name = name
-            try:
-                fn()
-            except BaseException as exc:  # noqa: BLE001 - surfaced by run_all
-                failures.append(exc)
-            finally:
-                self._pool._release(self)
-                done.release()
-            # Drop the task references before blocking on the next get(): an
-            # idle worker must not pin the finished run's closure chain
-            # (simulation state, per-rank results, payloads) until its next
-            # task arrives.
-            del fn, name, done, failures
-
-
-_pool = _RankWorkerPool()
-
-
-def _reset_pool_after_fork() -> None:
-    """Forked children inherit no threads: start from an empty pool."""
-    global _pool
-    _pool = _RankWorkerPool()
-
-
-if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX only
-    os.register_at_fork(after_in_child=_reset_pool_after_fork)
-
-
 class SPMDExecutor:
     """Run SPMD programs on a simulated platform.
 
@@ -270,16 +149,6 @@ class SPMDExecutor:
         Tree shape used by the world communicator's collectives: ``"binary"``
         (MPI/ScaLAPACK default), ``"hierarchical"`` (topology-aware) or
         ``"flat"``.
-    engine:
-        Backend driving the rank generators: ``"coroutine"`` (default, the
-        single-threaded event loop), ``"threads"`` (pooled cooperative
-        worker threads, the reference backend) or ``"threads-fresh"``
-        (threads backend with fresh OS threads per run).  Scheduling is
-        identical across backends; the equivalence tests pin bit-identical
-        traces.
-    reuse_threads:
-        Deprecated alias for the engine selector: ``True`` maps to
-        ``engine="threads"``, ``False`` to ``engine="threads-fresh"``.
     failures:
         Optional :class:`~repro.gridsim.failures.FailureSchedule` injecting
         deterministic rank deaths.  A dead rank is retired quietly (its
@@ -295,29 +164,9 @@ class SPMDExecutor:
         *,
         record_messages: bool = False,
         collective_tree: str = "binary",
-        engine: str | None = None,
-        reuse_threads: bool | None = None,
         failures: FailureSchedule | None = None,
         streaming_stats: bool | None = None,
     ) -> None:
-        if reuse_threads is not None:
-            warnings.warn(
-                "SPMDExecutor(reuse_threads=...) is deprecated; use "
-                "engine='threads' (pooled) or engine='threads-fresh' instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if engine is not None:
-                raise ConfigurationError(
-                    "pass either engine= or the deprecated reuse_threads=, not both"
-                )
-            engine = "threads" if reuse_threads else "threads-fresh"
-        if engine is None:
-            engine = "coroutine"
-        if engine not in ENGINES:
-            raise ConfigurationError(
-                f"unknown engine {engine!r} (expected one of {ENGINES})"
-            )
         if failures is not None and not isinstance(failures, FailureSchedule):
             raise ConfigurationError(
                 f"failures must be a FailureSchedule, got {failures!r}"
@@ -325,7 +174,6 @@ class SPMDExecutor:
         self.platform = platform
         self.record_messages = record_messages
         self.collective_tree = collective_tree
-        self.engine = engine
         self.failures = failures
         #: None = process default (on unless REPRO_STREAMING_STATS=0); the
         #: benchmark overhead gate passes False explicitly.
@@ -354,11 +202,9 @@ class SPMDExecutor:
             self.platform,
             record_messages=self.record_messages,
             active_ranks=active,
-            engine="coroutine" if self.engine == "coroutine" else "threads",
             failures=self.failures,
             streaming_stats=self.streaming_stats,
         )
-        scheduler = state.scheduler
         world = CommCore(
             state, active, collective_tree=self.collective_tree, name="world"
         )
@@ -368,74 +214,22 @@ class SPMDExecutor:
         for local, world_rank in enumerate(active):
             local_of[world_rank] = local
 
-        if self.engine == "coroutine":
-            def _start(world_rank: int) -> object:
-                ctx = RankContext(
-                    rank=world_rank,
-                    size=len(active),
-                    comm=CommHandle(world, local_of[world_rank]),
-                    state=state,
-                )
-                return program(ctx, *args, **kwargs)
+        def _start(world_rank: int) -> object:
+            ctx = RankContext(
+                rank=world_rank,
+                size=len(active),
+                comm=CommHandle(world, local_of[world_rank]),
+                state=state,
+            )
+            return program(ctx, *args, **kwargs)
 
-            def _on_result(world_rank: int, value: object) -> None:
-                results[local_of[world_rank]] = value
+        def _on_result(world_rank: int, value: object) -> None:
+            results[local_of[world_rank]] = value
 
-            def _on_error(world_rank: int, exc: BaseException) -> None:
-                errors.append((world_rank, exc))
+        def _on_error(world_rank: int, exc: BaseException) -> None:
+            errors.append((world_rank, exc))
 
-            scheduler.run(_start, _on_result, _on_error)
-        else:
-            errors_lock = threading.Lock()
-
-            def _worker(local_rank: int, world_rank: int) -> None:
-                ctx = RankContext(
-                    rank=world_rank,
-                    size=len(active),
-                    comm=CommHandle(world, local_rank),
-                    state=state,
-                )
-                try:
-                    scheduler.wait_for_turn(world_rank)
-                    # A failure elsewhere releases every waiting thread at
-                    # once; re-check so aborted ranks never run their program
-                    # (which would execute concurrently with other released
-                    # ranks).
-                    if not state.abort.is_set():
-                        out = program(ctx, *args, **kwargs)
-                        if isinstance(out, GeneratorType):
-                            out = drive_on_thread(out, scheduler, world_rank)
-                        results[local_rank] = out
-                except _RankDeath:
-                    # Injected death: retire the rank quietly — no error, no
-                    # abort.  finish() below hands the CPU to the next rank.
-                    pass
-                except BaseException as exc:  # noqa: BLE001 - propagated to the caller
-                    with errors_lock:
-                        errors.append((world_rank, exc))
-                    state.fail(exc)
-                finally:
-                    scheduler.finish(world_rank)
-
-            def _task(local_rank: int, world_rank: int):
-                return (lambda: _worker(local_rank, world_rank), f"rank-{world_rank}")
-
-            if self.engine == "threads":
-                _pool.run_all([_task(local, wr) for local, wr in enumerate(active)])
-            else:
-                threads = [
-                    threading.Thread(
-                        target=_worker,
-                        args=(local, world_rank),
-                        name=f"rank-{world_rank}",
-                        daemon=True,
-                    )
-                    for local, world_rank in enumerate(active)
-                ]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join()
+        state.scheduler.run(_start, _on_result, _on_error)
 
         if errors:
             # Deadlocks and rank failures keep their precise type: callers
@@ -452,7 +246,8 @@ class SPMDExecutor:
                 f"{len(errors)} rank(s) failed; first failure on rank {rank}: {first!r}"
             ) from first
         # Pin the streaming-stats horizon to the makespan before
-        # snapshotting, so the timeline window width is backend-independent.
+        # snapshotting, so the timeline window width does not depend on the
+        # dispatch pattern.
         makespan = state.makespan()
         state.trace.finalize(makespan)
         return SimulationResult(
@@ -474,8 +269,6 @@ def run_spmd(
     *args: object,
     record_messages: bool = False,
     collective_tree: str = "binary",
-    engine: str | None = None,
-    reuse_threads: bool | None = None,
     failures: FailureSchedule | None = None,
     streaming_stats: bool | None = None,
     **kwargs: object,
@@ -485,8 +278,6 @@ def run_spmd(
         platform,
         record_messages=record_messages,
         collective_tree=collective_tree,
-        engine=engine,
-        reuse_threads=reuse_threads,
         failures=failures,
         streaming_stats=streaming_stats,
     )

@@ -10,18 +10,17 @@ and each compute charge) and kills the rank at the first checkpoint at or
 past its deadline.
 
 Death is implemented with the internal :class:`_RankDeath` control-flow
-signal: it unwinds the dying rank's generator, both engine backends retire
-the rank quietly (no abort, no error), and every parked survivor is requeued
-so it can observe the failure.  From then on any operation on a communicator
+signal: it unwinds the dying rank's generator, the engine retires the rank
+quietly (no abort, no error), and every parked survivor is requeued so it
+can observe the failure.  From then on any operation on a communicator
 whose group contains the dead rank raises
 :class:`~repro.exceptions.RankFailedError` in the caller — the simulated
 analogue of ULFM's revoked-communicator semantics: parked and queued
 messages of the dead rank become tombstones that are never delivered.
 
-Because checkpoints live in backend-shared code and every decision is a
-pure function of ``(program, schedule)``, failure injection is
-bit-deterministic on both the coroutine and the threads backend, and a run
-with ``failures=None`` takes no new branches at all.
+Because every decision is a pure function of ``(program, schedule)``,
+failure injection is bit-deterministic, and a run with ``failures=None``
+takes no new branches at all.
 """
 
 from __future__ import annotations
@@ -39,8 +38,8 @@ class _RankDeath(BaseException):
 
     Deliberately a ``BaseException`` so rank programs that catch
     ``Exception`` (or :class:`~repro.exceptions.ReproError`, like the DAG
-    recovery path) can never swallow their own death.  The engine backends
-    catch it and retire the rank without recording an error.
+    recovery path) can never swallow their own death.  The engine catches
+    it and retires the rank without recording an error.
     """
 
     def __init__(self, rank: int) -> None:

@@ -10,9 +10,7 @@ and the communicator only ever read them.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-
 from typing import Callable, Hashable, Sequence, TypeVar
 
 from repro.exceptions import ConfigurationError
@@ -21,7 +19,6 @@ from repro.gridsim.failures import FailureSchedule, _RankDeath
 from repro.gridsim.kernelmodel import KernelRateModel
 from repro.gridsim.machine import GridSpec
 from repro.gridsim.network import LinkClass, LinkSpec, NetworkModel
-from repro.gridsim.scheduler import VirtualTimeScheduler
 from repro.gridsim.topology import ProcessPlacement
 from repro.gridsim.trace import Trace
 
@@ -71,22 +68,16 @@ class SimulationState:
     """Mutable per-simulation state: virtual clocks, trace, scheduler, abort flag.
 
     One :class:`SimulationState` is created per SPMD run and shared by all
-    ranks.  The state owns the scheduler (and through it the ready set keyed
-    by virtual clock) that admits exactly one runnable rank at a time:
-    the single-threaded
-    :class:`~repro.gridsim.engine.CoroutineScheduler` by default, or the
-    thread-backed
-    :class:`~repro.gridsim.scheduler.VirtualTimeScheduler` reference backend
-    when ``engine="threads"``.
+    ranks.  The state owns the single-threaded
+    :class:`~repro.gridsim.engine.CoroutineScheduler` (and through it the
+    ready set keyed by virtual clock) that runs exactly one rank at a time.
 
-    **Single-writer invariant.**  Because the scheduler admits one rank at a
+    **Single-writer invariant.**  Because the scheduler runs one rank at a
     time, clock reads and writes are never concurrent: a rank normally only
     touches its own clock, collective execution (performed by whichever rank
     arrives last) updates everyone's while the others are parked, and the
     executor reads the final clocks only after every rank has finished.
-    Clock access therefore takes **no lock** — on the coroutine backend
-    everything runs on one thread, and on the threads backend the semaphore
-    handoff provides the necessary happens-before edges.
+    Clock access therefore takes **no lock**: everything runs on one thread.
 
     ``active_ranks`` restricts the scheduled ranks to a subset of the
     platform's processes (the executor's ``ranks=...`` feature); clocks and
@@ -99,7 +90,6 @@ class SimulationState:
         *,
         record_messages: bool = False,
         active_ranks: Sequence[int] | None = None,
-        engine: str = "coroutine",
         failures: FailureSchedule | None = None,
         streaming_stats: bool | None = None,
     ) -> None:
@@ -110,11 +100,7 @@ class SimulationState:
             streaming=streaming_stats,
         )
         self._clocks = [0.0] * platform.n_processes
-        self.abort = threading.Event()
-        #: Plain-bool mirror of the abort event, read on every hot-path abort
-        #: check (an attribute load instead of an Event method call; writes
-        #: only happen in :meth:`record_failure`, under the single-runner
-        #: invariant / before the threads backend wakes anyone).
+        #: Set by :meth:`fail`; read on every hot-path abort check.
         self.aborted = False
         self.failure: BaseException | None = None
         #: Injected-failure machinery.  ``failures is None`` (the default)
@@ -146,14 +132,7 @@ class SimulationState:
         #: rank reuses it; see :meth:`RankContext.shared`.
         self.memo: dict[Hashable, object] = {}
         ranks = range(platform.n_processes) if active_ranks is None else active_ranks
-        if engine == "coroutine":
-            self.scheduler = CoroutineScheduler(ranks, self)
-        elif engine == "threads":
-            self.scheduler = VirtualTimeScheduler(ranks, self)
-        else:
-            raise ConfigurationError(
-                f"unknown simulation engine {engine!r} (expected 'coroutine' or 'threads')"
-            )
+        self.scheduler = CoroutineScheduler(ranks, self)
 
     def allocate_comm_id(self) -> int:
         """Allocate the next communicator id (deterministic per simulation)."""
@@ -278,9 +257,9 @@ class SimulationState:
         operation entry, park wake-up and compute charge.  A rank dies at
         its *first* checkpoint whose virtual clock is at or past its
         ``at_time``, or at its ``after_events + 1``-th checkpoint — both
-        pure functions of simulation state, hence bit-deterministic on
-        either backend.  Death raises :class:`_RankDeath`, which unwinds
-        the rank's program; the engine retires it quietly.
+        pure functions of simulation state, hence bit-deterministic.  Death
+        raises :class:`_RankDeath`, which unwinds the rank's program; the
+        engine retires it quietly.
         """
         deadline = self.failures.deadline(rank)
         if deadline is None:
@@ -303,22 +282,17 @@ class SimulationState:
         # Failure-detector broadcast: every parked survivor is requeued (in
         # virtual-clock order, no abort) so it re-checks its wait and
         # observes the revoked communicator.
-        self.scheduler.requeue_blocked()
+        self.scheduler.wake_all_blocked()
         raise _RankDeath(rank)
 
     # --------------------------------------------------------------- abort
-    def record_failure(self, exc: BaseException) -> None:
-        """Record a failure and set the abort flag without waking anyone.
+    def fail(self, exc: BaseException) -> None:
+        """Record a failure, set the abort flag and wake every parked rank.
 
-        Used by the scheduler while it already holds its own lock; everything
-        else should call :meth:`fail`.
+        The first failure recorded is the root cause the executor reports;
+        the woken ranks observe the abort flag and raise.
         """
         if self.failure is None:
             self.failure = exc
         self.aborted = True
-        self.abort.set()
-
-    def fail(self, exc: BaseException) -> None:
-        """Record a rank failure and wake every parked rank so it can raise."""
-        self.record_failure(exc)
         self.scheduler.wake_all_blocked()

@@ -6,11 +6,10 @@ The simulator therefore keeps, for every rank, counters broken down by link
 class and kernel, and the benchmark harness compares the measured counts to
 the analytic formulas of :mod:`repro.model.costs`.
 
-**Single-writer, lock-free recording.**  Under the virtual-time cooperative
-scheduler exactly one rank runs at a time, so at most one thread ever calls
-:meth:`Trace.record_message` / :meth:`Trace.record_flops` at any instant and
-the semaphore handoff between ranks provides the happens-before edges.  The
-hot recording path therefore takes **no lock**: counters are pre-seeded
+**Single-writer, lock-free recording.**  The single-threaded scheduler runs
+exactly one rank at a time, so :meth:`Trace.record_message` /
+:meth:`Trace.record_flops` are never called concurrently.  The hot
+recording path therefore takes **no lock**: counters are pre-seeded
 plain dictionaries (one slot per :class:`LinkClass`, allocated once in the
 constructor rather than through a ``defaultdict`` miss in the hot path) and
 flat per-rank lists.  A lock is retained only for the aggregation
@@ -284,8 +283,8 @@ class Trace:
 
         Called by the executor once every rank has finished, so the
         timeline snapshot width is a pure function of the makespan —
-        identical across backends and recording modes regardless of how
-        often the schedulers ticked.
+        identical across recording modes regardless of how often the
+        scheduler ticked.
         """
         if self.stats is not None:
             self.stats.finalize(makespan)

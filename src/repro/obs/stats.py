@@ -30,8 +30,8 @@ structure is bounded — no per-event allocation, no event list.
 
 Determinism: under the cooperative scheduler the record calls arrive in a
 single global order that is a pure function of the simulated program, so two
-identical runs (on either engine backend, with or without event recording)
-produce bit-identical snapshots.  The bucket transforms (``int.bit_length``,
+identical runs (with or without event recording) produce bit-identical
+snapshots.  The bucket transforms (``int.bit_length``,
 ``math.frexp``) and the integer bucket counts are exact; the windowed
 timelines fold by exact index halving (see :mod:`repro.obs.timeline`), so the
 same guarantee extends to them.
@@ -250,8 +250,8 @@ class StreamingTraceStats:
     :meth:`on_tick` — are written for the per-event budget of the engine
     benchmarks: bound locals, dict upserts, no helper calls except the
     timeline adds.  ``on_tick`` only advances the time horizon (a max), so
-    backend-specific dispatch patterns cannot perturb the snapshot; the
-    executor's ``finalize(makespan)`` pins the horizon regardless.
+    the dispatch pattern cannot perturb the snapshot; the executor's
+    ``finalize(makespan)`` pins the horizon regardless.
     """
 
     def __init__(
@@ -394,9 +394,9 @@ class StreamingTraceStats:
     def on_tick(self, now: float) -> float:
         """Advance the horizon from the scheduler; returns the next tick time.
 
-        Max-only and therefore insensitive to how often (or from which
-        backend) it is called — any divergence in tick patterns washes out
-        because :meth:`finalize` pins the horizon to the makespan.
+        Max-only and therefore insensitive to how often it is called — any
+        divergence in tick patterns washes out because :meth:`finalize`
+        pins the horizon to the makespan.
         """
         if now > self.horizon:
             self.horizon = now
@@ -476,7 +476,7 @@ def stats_from_events(
     pinned event format predates this layer), so the wait-derived statistics
     — hot spots, the wait and busy timelines, the ``wait_s`` traffic column —
     come back empty here; the equivalence suite covers those by comparing
-    recording against non-recording runs and the two engine backends instead.
+    recording against non-recording runs instead.
     """
     stats = StreamingTraceStats(n_ranks, **kwargs)
     on_message = stats.on_message

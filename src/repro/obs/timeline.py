@@ -19,7 +19,7 @@ width, which is why :meth:`snapshot` can normalise every rank to one
 global width.  Rebinning on growth is a single pass (``new[j >> k] +=
 old[j]``), and since the seed width and every doubling are pure functions
 of the event sequence, two runs with the same event order produce
-bit-identical timelines whatever the backend; the received-bytes series
+bit-identical timelines; the received-bytes series
 additionally uses exact integer arithmetic, making it reproducible even
 from an event replay whose rebin history differs (no busy events to drive
 the widths).

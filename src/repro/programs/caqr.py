@@ -349,7 +349,6 @@ def run_parallel_caqr(
     *,
     collective_tree: str = "binary",
     record_messages: bool = False,
-    engine: str | None = None,
     failures: "FailureSchedule | None" = None,
 ) -> CAQRRunResult:
     """Run distributed CAQR on ``platform`` and summarise its performance.
@@ -372,7 +371,6 @@ def run_parallel_caqr(
         flop_count=config.flop_count(),
         collective_tree=collective_tree,
         record_messages=record_messages,
-        engine=engine,
         failures=failures,
     )
     results: list[CAQRRankResult] = list(run.results)

@@ -300,7 +300,6 @@ def run_program(
     flop_count: float,
     collective_tree: str = "binary",
     record_messages: bool = False,
-    engine: str | None = None,
     failures: "FailureSchedule | None" = None,
     streaming_stats: bool | None = None,
     **kwargs: object,
@@ -309,17 +308,15 @@ def run_program(
 
     ``flop_count`` is the number of *useful* flops credited to the run (the
     paper's Gflop/s denominator), not the number executed — TSQR's redundant
-    combine flops, for instance, are excluded by convention.  ``engine``
-    selects the executor backend (``None`` = the executor default);
-    ``failures`` injects a deterministic rank-death schedule;
-    ``streaming_stats`` overrides the always-on streaming observability
-    (the benchmark overhead gate passes False).
+    combine flops, for instance, are excluded by convention.  ``failures``
+    injects a deterministic rank-death schedule; ``streaming_stats``
+    overrides the always-on streaming observability (the benchmark overhead
+    gate passes False).
     """
     executor = SPMDExecutor(
         platform,
         record_messages=record_messages,
         collective_tree=collective_tree,
-        engine=engine,
         failures=failures,
         streaming_stats=streaming_stats,
     )

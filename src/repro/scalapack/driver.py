@@ -131,7 +131,6 @@ def run_scalapack_qr(
     *,
     collective_tree: str = "binary",
     record_messages: bool = False,
-    engine: str | None = None,
 ) -> ScaLAPACKRunResult:
     """Run the ScaLAPACK baseline on ``platform`` and summarise its performance.
 
@@ -143,7 +142,6 @@ def run_scalapack_qr(
         platform,
         record_messages=record_messages,
         collective_tree=collective_tree,
-        engine=engine,
     )
     sim = executor.run(scalapack_qr_program, config)
     rank0: ScaLAPACKRankResult = sim.results[0]

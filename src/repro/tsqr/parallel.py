@@ -374,7 +374,6 @@ def run_parallel_tsqr(
     *,
     collective_tree: str = "binary",
     record_messages: bool = False,
-    engine: str | None = None,
     streaming_stats: bool | None = None,
 ) -> TSQRRunResult:
     """Run QCG-TSQR on ``platform`` and summarise its performance."""
@@ -385,7 +384,6 @@ def run_parallel_tsqr(
         flop_count=config.flop_count(),
         collective_tree=collective_tree,
         record_messages=record_messages,
-        engine=engine,
         streaming_stats=streaming_stats,
     )
     results: list[TSQRRankResult] = list(run.results)

@@ -7,6 +7,8 @@ still exercising every code path the paper-scale benchmarks use.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,15 @@ from repro.gridsim import (
     block_placement,
 )
 from repro.util.random_matrices import matrix_with_condition_number, random_tall_skinny
+
+
+def event_hash(sim) -> str:
+    """Canonical digest of a run's ordered event stream and final clocks.
+
+    The golden hashes of the determinism tests are digests of this form.
+    """
+    payload = repr((sim.events, sim.clocks, sim.makespan)).encode()
+    return hashlib.sha256(payload).hexdigest()
 
 
 def make_grid(n_clusters: int = 2, nodes: int = 2, ppn: int = 2) -> GridSpec:

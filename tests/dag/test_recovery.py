@@ -26,8 +26,7 @@ from repro.exceptions import ConfigurationError, RankFailedError
 from repro.gridsim.failures import FailureSchedule, RankFailure
 from repro.programs.caqr import CAQRConfig, run_parallel_caqr
 from repro.util.random_matrices import random_matrix
-
-BACKENDS = ("coroutine", "threads")
+from tests.conftest import event_hash
 
 
 def spd_matrix(n: int, *, seed: int = 0) -> np.ndarray:
@@ -89,23 +88,20 @@ class TestLostVersionClosure:
 
 
 # ---------------------------------------------------------------------------
-# End-to-end: bit-identical factors, every algorithm, both backends
+# End-to-end: bit-identical factors, every algorithm
 # ---------------------------------------------------------------------------
 
 class TestBitIdenticalRecovery:
-    @pytest.mark.parametrize("engine", BACKENDS)
-    def test_qr_r_is_bit_identical_across_schedules(self, platform4_single_site, engine):
+    def test_qr_r_is_bit_identical_across_schedules(self, platform4_single_site):
         cfg = qr_config()
-        base = run_dag_factorization(platform4_single_site, cfg, engine=engine)
+        base = run_dag_factorization(platform4_single_site, cfg)
         schedules = [
             FailureSchedule([RankFailure(1, at_time=0.0)]),
             FailureSchedule([RankFailure(2, after_events=40)]),
             FailureSchedule([RankFailure(0, at_time=0.001), RankFailure(3, after_events=25)]),
         ]
         for schedule in schedules:
-            res = run_dag_factorization(
-                platform4_single_site, cfg, failures=schedule, engine=engine
-            )
+            res = run_dag_factorization(platform4_single_site, cfg, failures=schedule)
             assert np.array_equal(res.r, base.r)
             assert res.recovery is not None
             assert res.recovery.dead_ranks == schedule.ranks
@@ -180,22 +176,55 @@ class TestBitIdenticalRecovery:
 # Determinism and the exactly-once accounting
 # ---------------------------------------------------------------------------
 
+def _factorization_config(algorithm: str, seed: int) -> DAGFactorizationConfig:
+    return DAGFactorizationConfig(
+        m=128, n=128, tile_size=32, matrix=spd_matrix(128, seed=seed),
+        algorithm=algorithm,
+    )
+
+
+#: Golden recovery runs on the 4-rank single-site platform -> (config,
+#: schedule, event hash, (recovery rounds, tasks re-executed, tasks
+#: executed)), captured with the retired thread-per-rank backend and the
+#: coroutine engine agreeing.  The Cholesky and LU matrices are those of
+#: ``test_cholesky_and_lu_recover_bit_identically``.
+RECOVERY_RUNS = {
+    "qr": (
+        qr_config(),
+        FailureSchedule([RankFailure(2, after_events=40)]),
+        "517a31d716b5eb4eb5e97060dba2c7b9b1a1afb723fb8ed78f56a8e3f14031e9",
+        (1, 6, 59),
+    ),
+    "cholesky": (
+        _factorization_config("cholesky", seed=5),
+        FailureSchedule([RankFailure(3, after_events=20)]),
+        "e1915eb4a69990200f7d2e8bdbbfcd3288ec526ae8f9a65757464d323a6088e0",
+        (1, 0, 14),
+    ),
+    "lu": (
+        _factorization_config("lu", seed=6),
+        FailureSchedule([RankFailure(3, after_events=20)]),
+        "5ce1d797198e96a053aff12d695e52d0fe45ae98567434e59bba02cfe585514a",
+        (1, 0, 26),
+    ),
+}
+
+
 class TestDeterminismAndAccounting:
-    def test_repeated_runs_are_bit_deterministic(self, platform4_single_site):
-        cfg = qr_config()
-        schedule = FailureSchedule([RankFailure(2, after_events=40)])
+    @pytest.mark.parametrize("run", sorted(RECOVERY_RUNS))
+    def test_repeated_runs_are_bit_deterministic(self, platform4_single_site, run):
+        cfg, schedule, digest, accounting = RECOVERY_RUNS[run]
         runs = [
             run_dag_factorization(
-                platform4_single_site,
-                cfg,
-                failures=schedule,
-                engine=engine,
-                record_messages=True,
+                platform4_single_site, cfg, failures=schedule, record_messages=True
             )
-            for engine in BACKENDS
             for _ in range(2)
         ]
         first = runs[0]
+        assert event_hash(first.simulation) == digest
+        assert first.recovery.dead_ranks == schedule.ranks
+        assert (first.recovery.rounds, first.recovery.tasks_reexecuted,
+                first.recovery.tasks_executed) == accounting
         for other in runs[1:]:
             assert np.array_equal(other.r, first.r)
             assert other.makespan_s == first.makespan_s
@@ -261,21 +290,18 @@ class TestDeterminismAndAccounting:
 # ---------------------------------------------------------------------------
 
 class TestSPMDCapabilityGap:
-    @pytest.mark.parametrize("engine", BACKENDS)
-    def test_same_schedule_kills_spmd_but_not_dag(self, platform4_single_site, engine):
+    def test_same_schedule_kills_spmd_but_not_dag(self, platform4_single_site):
         schedule = FailureSchedule([RankFailure(1, at_time=0.0)])
         a = random_matrix(256, 96, seed=3)
         with pytest.raises(RankFailedError, match="revoked"):
             run_parallel_caqr(
                 platform4_single_site,
                 CAQRConfig(m=256, n=96, tile_size=32, matrix=a),
-                engine=engine,
                 failures=schedule,
             )
         res = run_dag_factorization(
             platform4_single_site,
             DAGCAQRConfig(m=256, n=96, tile_size=32, matrix=a),
-            engine=engine,
             failures=schedule,
         )
         base = run_dag_factorization(

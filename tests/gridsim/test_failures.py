@@ -5,7 +5,7 @@ rank at its first failure checkpoint at/past its deadline, the dead rank is
 retired quietly (no abort), survivors touching a communicator containing it
 get :class:`RankFailedError` in virtual time, every death is recorded as a
 ``rank_failure`` trace event — and all of it is bit-deterministic given
-``(program, schedule)`` on both engine backends.
+``(program, schedule)``.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ import pytest
 from repro.exceptions import ConfigurationError, RankFailedError
 from repro.gridsim.executor import run_spmd
 from repro.gridsim.failures import FailureSchedule, RankFailure
-
-BACKENDS = ("coroutine", "threads")
+from tests.conftest import event_hash
 
 
 def _compute_only(ctx):
@@ -71,15 +70,12 @@ class TestFailureSchedule:
 
 
 class TestQuietRetirement:
-    @pytest.mark.parametrize("engine", BACKENDS)
     def test_dead_rank_never_poisons_a_communication_free_run(
-        self, platform4_single_site, engine
+        self, platform4_single_site
     ):
         """A death with no communicator use afterwards: survivors just finish."""
         schedule = FailureSchedule([RankFailure(1, after_events=3)])
-        result = run_spmd(
-            platform4_single_site, _compute_only, engine=engine, failures=schedule
-        )
+        result = run_spmd(platform4_single_site, _compute_only, failures=schedule)
         assert result.results == [0, None, 2, 3]
         summary = result.trace
         # Died at its 4th checkpoint: exactly 3 compute charges landed.
@@ -87,39 +83,39 @@ class TestQuietRetirement:
         assert rank == 1
         assert death_time == result.clocks[1] > 0.0
 
-    @pytest.mark.parametrize("engine", BACKENDS)
-    def test_at_time_zero_kills_before_any_work(self, platform4_single_site, engine):
-        schedule = FailureSchedule([RankFailure(2, at_time=0.0)])
-        result = run_spmd(
-            platform4_single_site, _compute_only, engine=engine, failures=schedule
-        )
+    @pytest.mark.parametrize(
+        "deadline",
+        [{"at_time": 0.0}, {"after_events": 0}],
+        ids=["at_time", "after_events"],
+    )
+    def test_zero_deadline_kills_before_any_work(
+        self, platform4_single_site, deadline
+    ):
+        schedule = FailureSchedule([RankFailure(2, **deadline)])
+        result = run_spmd(platform4_single_site, _compute_only, failures=schedule)
         assert result.results == [0, 1, None, 3]
         assert result.trace.rank_failures == ((2, 0.0),)
         assert result.clocks[2] == 0.0
 
 
 class TestRevokedCommunicators:
-    @pytest.mark.parametrize("engine", BACKENDS)
-    def test_survivors_observe_rank_failed_error(self, platform4_single_site, engine):
+    def test_survivors_observe_rank_failed_error(self, platform4_single_site):
         """Every survivor of the ring — parked or not — gets RankFailedError."""
         schedule = FailureSchedule([RankFailure(1, at_time=0.0)])
-        result = run_spmd(
-            platform4_single_site, _ring, engine=engine, failures=schedule
-        )
+        result = run_spmd(platform4_single_site, _ring, failures=schedule)
         assert result.results == ["survived", None, "survived", "survived"]
 
-    @pytest.mark.parametrize("engine", BACKENDS)
-    def test_uncaught_failure_raises_with_precise_type(
-        self, platform4_single_site, engine
-    ):
+    def test_uncaught_failure_raises_with_precise_type(self, platform4_single_site):
+        """The error names the communicator, the dead rank and its death time
+        (captured with the retired thread-per-rank backend agreeing)."""
         schedule = FailureSchedule([RankFailure(2, at_time=0.1)])
-        with pytest.raises(RankFailedError, match="revoked"):
-            run_spmd(
-                platform4_single_site, _two_allreduces, engine=engine, failures=schedule
-            )
+        with pytest.raises(RankFailedError) as excinfo:
+            run_spmd(platform4_single_site, _two_allreduces, failures=schedule)
+        assert str(excinfo.value) == (
+            "communicator 'world' is revoked: rank(s) 2 at t=0.272634s failed"
+        )
 
-    @pytest.mark.parametrize("engine", BACKENDS)
-    def test_detection_happens_in_virtual_time(self, platform4_single_site, engine):
+    def test_detection_happens_in_virtual_time(self, platform4_single_site):
         """A survivor's clock never observes a death before it happened."""
         schedule = FailureSchedule([RankFailure(1, at_time=0.05)])
 
@@ -133,7 +129,7 @@ class TestRevokedCommunicators:
             except RankFailedError:
                 return ctx.clock()
 
-        result = run_spmd(platform4_single_site, prog, engine=engine, failures=schedule)
+        result = run_spmd(platform4_single_site, prog, failures=schedule)
         [(_, death_time)] = result.trace.rank_failures
         assert death_time >= 0.05
         for rank in (0, 2, 3):
@@ -152,26 +148,51 @@ class TestRevokedCommunicators:
         assert shadowed.trace == baseline.trace
 
 
+#: Golden failure runs under ``DETERMINISM_SCHEDULE`` on the 4-rank
+#: single-site platform, captured with the retired thread-per-rank backend
+#: and the coroutine engine agreeing: program -> (event hash, results,
+#: rank failures).
+DETERMINISM_SCHEDULE = FailureSchedule(
+    [RankFailure(1, at_time=0.0), RankFailure(3, after_events=5)]
+)
+FAILURE_RUNS = [
+    (
+        _ring,
+        "394eba40fdfbd58ed1d869e1a45ad94f8e5dd1971c1a69d373a4d569ba3dfa74",
+        ["survived", None, "survived", "survived"],
+        ((1, 0.0),),
+    ),
+    (
+        _compute_only,
+        "9c9ca31ef435ef3431a981469aea3892f25b7bb02aba09f9e3e8ff9fa11409f6",
+        [0, None, 2, None],
+        ((1, 0.0), (3, 0.001362397820163488)),
+    ),
+]
+
+
 class TestDeterminism:
-    @pytest.mark.parametrize("program", [_ring, _compute_only])
-    def test_backends_agree_bit_for_bit_under_failures(
-        self, platform4_single_site, program
+    @pytest.mark.parametrize(
+        "program,digest,results,rank_failures",
+        FAILURE_RUNS,
+        ids=[program.__name__.lstrip("_") for program, *_ in FAILURE_RUNS],
+    )
+    def test_failure_runs_are_pinned_bit_for_bit(
+        self, platform4_single_site, program, digest, results, rank_failures
     ):
-        schedule = FailureSchedule(
-            [RankFailure(1, at_time=0.0), RankFailure(3, after_events=5)]
-        )
         runs = [
             run_spmd(
                 platform4_single_site,
                 program,
-                engine=engine,
                 record_messages=True,
-                failures=schedule,
+                failures=DETERMINISM_SCHEDULE,
             )
-            for engine in BACKENDS
-            for _ in range(2)  # repeated runs per backend must agree too
+            for _ in range(2)  # repeated runs must agree too
         ]
         first = runs[0]
+        assert event_hash(first) == digest
+        assert first.results == results
+        assert first.trace.rank_failures == rank_failures
         for other in runs[1:]:
             assert other.results == first.results
             assert other.events == first.events

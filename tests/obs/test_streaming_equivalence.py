@@ -6,11 +6,11 @@ tests pin the equivalence contract from three directions:
 * every statistic that *can* be recomputed from a ``record_messages=True``
   event stream — latency/size histograms per link, per-kernel flop
   histograms, the received-bytes timeline, the per-link traffic totals —
-  matches the online snapshot **bit for bit**, on both engine backends;
+  matches the online snapshot **bit for bit**;
 * the statistics that events cannot reproduce (wait-derived: hot spots, the
   busy/wait timelines — the frozen event format carries neither per-receive
   wait nor flop end times) are instead pinned by recording-vs-non-recording
-  and coroutine-vs-threads equality of the full snapshot;
+  equality of the full snapshot and by golden digests of it;
 * turning streaming off yields ``stats=None`` / empty hot spots while the
   rest of the summary stays equal, and pinned traces stay bit-identical
   either way (the observer never participates in scheduling).
@@ -18,7 +18,8 @@ tests pin the equivalence contract from three directions:
 
 from __future__ import annotations
 
-import pytest
+import hashlib
+import json
 
 from repro.dag.runtime import DAGCAQRConfig, run_dag_caqr
 from repro.gridsim.executor import SPMDExecutor
@@ -26,7 +27,6 @@ from repro.obs.stats import stats_from_events
 from repro.tsqr.parallel import TSQRConfig, qcg_tsqr_program, run_parallel_tsqr
 
 CONFIG = TSQRConfig(m=262_144, n=32, n_domains=4, tree_kind="grid-hierarchical")
-ENGINES = ("coroutine", "threads")
 
 #: Snapshot fields an event replay can reconstruct exactly.
 REPLAYABLE = (
@@ -40,17 +40,35 @@ REPLAYABLE = (
 )
 
 
-def _tsqr_run(platform, *, engine, record=False, streaming=None):
-    executor = SPMDExecutor(
-        platform, record_messages=record, engine=engine, streaming_stats=streaming
+#: Golden digests of the full snapshot (``_snapshot_digest``) of the SPMD
+#: TSQR run and the DAG CAQR run below on the 8-rank test platform, captured
+#: with the retired thread-per-rank backend and the coroutine engine agreeing.
+SNAPSHOT_HASHES = {
+    "spmd-tsqr": "546dd0a4f1baaeaac5e22664a6b530db02c3556e6fc688140695712838d0660d",
+    "dag-caqr": "88e35c12595ab27acf9effb57f4f3c8529abdad19f7b1f95170e6cfad4970682",
+}
+
+
+def _snapshot_digest(summary) -> str:
+    """Digest of a run's streaming snapshot and its top hot spots."""
+    payload = json.dumps(
+        {
+            "stats": summary.stats.as_dict(),
+            "hot_spots": [spot.as_dict() for spot in summary.hot_spots],
+        },
+        sort_keys=True,
     )
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _tsqr_run(platform, *, record=False, streaming=None):
+    executor = SPMDExecutor(platform, record_messages=record, streaming_stats=streaming)
     return executor.run(qcg_tsqr_program, CONFIG)
 
 
 class TestReplayEquivalence:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_online_matches_event_recomputation(self, platform8, engine):
-        sim = _tsqr_run(platform8, engine=engine, record=True)
+    def test_online_matches_event_recomputation(self, platform8):
+        sim = _tsqr_run(platform8, record=True)
         online = sim.trace.stats
         assert online is not None
         replayed = stats_from_events(
@@ -59,9 +77,8 @@ class TestReplayEquivalence:
         for name in REPLAYABLE:
             assert getattr(online, name) == getattr(replayed, name), name
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_traffic_counts_match_event_recomputation(self, platform8, engine):
-        sim = _tsqr_run(platform8, engine=engine, record=True)
+    def test_traffic_counts_match_event_recomputation(self, platform8):
+        sim = _tsqr_run(platform8, record=True)
         online = sim.trace.stats.link_traffic
         replayed = stats_from_events(
             sim.events, n_ranks=platform8.n_processes, makespan=sim.makespan
@@ -77,24 +94,20 @@ class TestReplayEquivalence:
 
 
 class TestObserverInvariance:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_recording_does_not_change_the_snapshot(self, platform8, engine):
-        recorded = _tsqr_run(platform8, engine=engine, record=True)
-        bare = _tsqr_run(platform8, engine=engine, record=False)
+    def test_recording_does_not_change_the_snapshot(self, platform8):
+        recorded = _tsqr_run(platform8, record=True)
+        bare = _tsqr_run(platform8, record=False)
         assert bare.trace.stats == recorded.trace.stats
         assert bare.trace.hot_spots == recorded.trace.hot_spots
         assert bare.events == []  # non-recording runs retain no event list
 
-    def test_backends_produce_identical_snapshots(self, platform8):
-        coro = _tsqr_run(platform8, engine="coroutine")
-        threads = _tsqr_run(platform8, engine="threads")
-        assert coro.trace.stats == threads.trace.stats
-        assert coro.trace.hot_spots == threads.trace.hot_spots
-        assert coro.makespan == threads.makespan
+    def test_snapshot_pinned(self, platform8):
+        sim = _tsqr_run(platform8)
+        assert _snapshot_digest(sim.trace) == SNAPSHOT_HASHES["spmd-tsqr"]
 
     def test_streaming_off_leaves_the_summary_equal(self, platform8):
-        on = _tsqr_run(platform8, engine="coroutine", streaming=True)
-        off = _tsqr_run(platform8, engine="coroutine", streaming=False)
+        on = _tsqr_run(platform8, streaming=True)
+        off = _tsqr_run(platform8, streaming=False)
         assert off.trace.stats is None
         assert off.trace.hot_spots == ()
         assert on.trace.stats is not None
@@ -106,21 +119,18 @@ class TestObserverInvariance:
 
     def test_env_knob_disables_streaming(self, platform8, monkeypatch):
         monkeypatch.setenv("REPRO_STREAMING_STATS", "0")
-        sim = _tsqr_run(platform8, engine="coroutine")
+        sim = _tsqr_run(platform8)
         assert sim.trace.stats is None
         monkeypatch.setenv("REPRO_STREAMING_STATS", "1")
-        sim = _tsqr_run(platform8, engine="coroutine")
+        sim = _tsqr_run(platform8)
         assert sim.trace.stats is not None
 
 
 class TestDagRuntime:
     CONFIG = DAGCAQRConfig(m=1024, n=256, tile_size=64)  # matrix None: virtual
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_dag_online_matches_event_recomputation(self, platform8, engine):
-        run = run_dag_caqr(
-            platform8, self.CONFIG, record_messages=True, engine=engine
-        )
+    def test_dag_online_matches_event_recomputation(self, platform8):
+        run = run_dag_caqr(platform8, self.CONFIG, record_messages=True)
         sim = run.simulation
         online = run.trace.stats
         assert online is not None
@@ -130,16 +140,14 @@ class TestDagRuntime:
         for name in REPLAYABLE:
             assert getattr(online, name) == getattr(replayed, name), name
 
-    def test_dag_backends_produce_identical_snapshots(self, platform8):
-        coro = run_dag_caqr(platform8, self.CONFIG, engine="coroutine")
-        threads = run_dag_caqr(platform8, self.CONFIG, engine="threads")
-        assert coro.trace.stats == threads.trace.stats
-        assert coro.trace.hot_spots == threads.trace.hot_spots
+    def test_dag_snapshot_pinned(self, platform8):
+        run = run_dag_caqr(platform8, self.CONFIG)
+        assert _snapshot_digest(run.trace) == SNAPSHOT_HASHES["dag-caqr"]
 
 
 class TestSnapshotContents:
     def test_snapshot_is_populated(self, platform8):
-        sim = _tsqr_run(platform8, engine="coroutine")
+        sim = _tsqr_run(platform8)
         stats = sim.trace.stats
         assert stats.n_ranks == platform8.n_processes
         assert stats.horizon_s == sim.makespan
@@ -164,7 +172,7 @@ class TestSnapshotContents:
         )
 
     def test_hotspots_are_ranked_and_consistent(self, platform8):
-        sim = _tsqr_run(platform8, engine="coroutine")
+        sim = _tsqr_run(platform8)
         spots = sim.trace.hot_spots
         assert spots  # the hierarchical reduction must contend somewhere
         waits = [s.wait_s for s in spots]

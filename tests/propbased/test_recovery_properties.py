@@ -94,18 +94,16 @@ def test_cholesky_recovery_is_bit_identical_for_any_schedule(schedule, seed):
 @given(schedule=failure_schedules())
 def test_failing_runs_are_bit_deterministic(schedule):
     """Two identical runs under the same schedule: identical traces, events,
-    death times and accounting — on both engine backends."""
+    death times and accounting."""
     cfg = DAGCAQRConfig(m=192, n=64, tile_size=32)  # virtual: trace-only
     runs = [
         run_dag_factorization(
             PLATFORM,
             cfg,
             failures=schedule,
-            engine=engine,
             record_messages=True,
             baseline_makespan_s=1.0,
         )
-        for engine in ("coroutine", "threads")
         for _ in range(2)
     ]
     first = runs[0]

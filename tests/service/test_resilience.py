@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import socket
+import threading
 
 import pytest
 
@@ -215,8 +216,34 @@ class TestClientRetry:
 class TestBurstAcceptance:
     def test_32_query_burst_runs_one_simulation(self, tmp_path):
         """Acceptance: 32 identical cold queries -> 1 simulated answer,
-        31 single-flight joins, every reply identical."""
+        31 single-flight joins, every reply identical.
+
+        The one simulation is held until all 32 queries have entered
+        ``submit``: unheld, it finishes in a few milliseconds, and queries
+        still in flight on the wire would then be answered from memory.
+        """
         service = _service(tmp_path)
+        burst = 32
+        entered = 0
+        all_entered = threading.Event()
+        gate_opened: list[bool] = []
+        submit = service.submit
+        run_point = service.runner.run_point
+
+        async def counting_submit(config):
+            nonlocal entered
+            entered += 1
+            if entered == burst:
+                # Opened on the next loop turn, once this query has joined.
+                asyncio.get_running_loop().call_soon(all_entered.set)
+            return await submit(config)
+
+        def gated_run_point(spec):
+            gate_opened.append(all_entered.wait(timeout=60.0))
+            return run_point(spec)
+
+        service.submit = counting_submit
+        service.runner.run_point = gated_run_point
 
         async def scenario():
             server = await service.serve("127.0.0.1", 0)
@@ -224,12 +251,13 @@ class TestBurstAcceptance:
             loop = asyncio.get_running_loop()
             try:
                 return await loop.run_in_executor(
-                    None, remote_burst, "127.0.0.1", port, CONFIG, 32)
+                    None, remote_burst, "127.0.0.1", port, CONFIG, burst)
             finally:
                 server.close()
                 await server.wait_closed()
 
         replies = asyncio.run(scenario())
+        assert gate_opened == [True]
         sources = sorted(r["source"] for r in replies)
         assert sources.count("simulated") == 1
         assert sources.count("single-flight") == 31

@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
+import socket
+
 import pytest
 
 from repro.cli import build_parser, main
+
+
+def _error_line(capsys, argv) -> str:
+    """Run a CLI command that must fail; return its one-line stderr report."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 class TestParser:
@@ -141,81 +151,82 @@ class TestCommands:
         assert "fig7-N64-Q" in out
         assert "Q included" in out
 
-    def test_figure_rejects_inapplicable_flags(self):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="--rows"):
-            main(["figure", "--id", "table2", "--rows", "4000000"])
-        with pytest.raises(ConfigurationError, match="--want-q"):
-            main(["figure", "--id", "table2", "--want-q"])
-        with pytest.raises(ConfigurationError, match="--domains"):
-            main(["figure", "--id", "fig4", "--domains", "1,64"])
-        with pytest.raises(ConfigurationError, match="--tile-size"):
-            main(["figure", "--id", "fig4", "--tile-size", "32"])
-        with pytest.raises(ConfigurationError, match="--points"):
-            main(["figure", "--id", "caqr-sweep", "--points", "5"])
-        with pytest.raises(ConfigurationError, match="--points"):
-            main(["figure", "--id", "table1", "--points", "5"])
-        with pytest.raises(ConfigurationError, match="--panel-tree"):
-            main(["figure", "--id", "table1", "--panel-tree", "binary"])
+    def test_figure_rejects_inapplicable_flags(self, capsys):
+        assert "--rows" in _error_line(
+            capsys, ["figure", "--id", "table2", "--rows", "4000000"])
+        assert "--want-q" in _error_line(
+            capsys, ["figure", "--id", "table2", "--want-q"])
+        assert "--domains" in _error_line(
+            capsys, ["figure", "--id", "fig4", "--domains", "1,64"])
+        assert "--tile-size" in _error_line(
+            capsys, ["figure", "--id", "fig4", "--tile-size", "32"])
+        assert "--points" in _error_line(
+            capsys, ["figure", "--id", "caqr-sweep", "--points", "5"])
+        assert "--points" in _error_line(
+            capsys, ["figure", "--id", "table1", "--points", "5"])
+        assert "--panel-tree" in _error_line(
+            capsys, ["figure", "--id", "table1", "--panel-tree", "binary"])
         # CAQR computes R only and accepts no domain sweep.
-        with pytest.raises(ConfigurationError, match="--want-q"):
-            main(["figure", "--id", "caqr-sweep", "--want-q"])
-        with pytest.raises(ConfigurationError, match="--domains"):
-            main(["figure", "--id", "caqr-sweep", "--domains", "1,64"])
+        assert "--want-q" in _error_line(
+            capsys, ["figure", "--id", "caqr-sweep", "--want-q"])
+        assert "--domains" in _error_line(
+            capsys, ["figure", "--id", "caqr-sweep", "--domains", "1,64"])
         # --jobs parallelises sweep points; the single-point artefacts would
         # silently ignore it, and a non-positive worker count is nonsense.
-        with pytest.raises(ConfigurationError, match="--jobs"):
-            main(["figure", "--id", "table1", "--jobs", "4"])
-        with pytest.raises(ConfigurationError, match="--jobs"):
-            main(["figure", "--id", "fig3", "--jobs", "2"])
-        with pytest.raises(ConfigurationError, match="--jobs"):
-            main(["figure", "--id", "fig4", "--jobs", "0"])
+        assert "--jobs" in _error_line(
+            capsys, ["figure", "--id", "table1", "--jobs", "4"])
+        assert "--jobs" in _error_line(
+            capsys, ["figure", "--id", "fig3", "--jobs", "2"])
+        assert "--jobs" in _error_line(
+            capsys, ["figure", "--id", "fig4", "--jobs", "0"])
         # The DAG policy flags only make sense for the dag-caqr-sweep artefact.
-        with pytest.raises(ConfigurationError, match="--placement"):
-            main(["figure", "--id", "caqr-sweep", "--placement", "block"])
-        with pytest.raises(ConfigurationError, match="--priority"):
-            main(["figure", "--id", "fig4", "--priority", "fifo"])
+        assert "--placement" in _error_line(
+            capsys, ["figure", "--id", "caqr-sweep", "--placement", "block"])
+        assert "--priority" in _error_line(
+            capsys, ["figure", "--id", "fig4", "--priority", "fifo"])
 
-    def test_simulate_rejects_inapplicable_flags(self):
-        from repro.exceptions import ConfigurationError
+    def test_simulate_rejects_inapplicable_flags(self, capsys):
+        assert "--runtime" in _error_line(
+            capsys, ["simulate", "--algorithm", "tsqr", "--runtime", "dag"])
+        assert "--tile-size" in _error_line(
+            capsys, ["simulate", "--algorithm", "scalapack", "--tile-size", "32"])
+        assert "--placement" in _error_line(
+            capsys, ["simulate", "--algorithm", "caqr", "--placement", "block"])
+        assert "--priority" in _error_line(
+            capsys, ["simulate", "--algorithm", "caqr", "--runtime", "spmd",
+                     "--priority", "fifo"])
+        assert "--domains-per-cluster" in _error_line(
+            capsys, ["simulate", "--algorithm", "caqr", "--domains-per-cluster", "4"])
+        assert "R only" in _error_line(
+            capsys, ["simulate", "--algorithm", "caqr", "--want-q"])
 
-        with pytest.raises(ConfigurationError, match="--runtime"):
-            main(["simulate", "--algorithm", "tsqr", "--runtime", "dag"])
-        with pytest.raises(ConfigurationError, match="--tile-size"):
-            main(["simulate", "--algorithm", "scalapack", "--tile-size", "32"])
-        with pytest.raises(ConfigurationError, match="--placement"):
-            main(["simulate", "--algorithm", "caqr", "--placement", "block"])
-        with pytest.raises(ConfigurationError, match="--priority"):
-            main(["simulate", "--algorithm", "caqr", "--runtime", "spmd",
-                  "--priority", "fifo"])
-        with pytest.raises(ConfigurationError, match="--domains-per-cluster"):
-            main(["simulate", "--algorithm", "caqr", "--domains-per-cluster", "4"])
-        with pytest.raises(ConfigurationError, match="R only"):
-            main(["simulate", "--algorithm", "caqr", "--want-q"])
+    def test_repro_error_is_one_line_with_exit_code_2(self, capsys):
+        """An invalid configuration reports one line, not a traceback."""
+        err = _error_line(
+            capsys, ["simulate", "--algorithm", "tsqr", "--sites", "4",
+                     "--domains-per-cluster", "3"])
+        assert err == (
+            "error: domains/cluster 3 must divide the 64 processes of a cluster\n"
+        )
 
-    def test_simulate_rejects_inapplicable_cholesky_lu_flags(self):
-        from repro.exceptions import ConfigurationError
+    def test_simulate_rejects_inapplicable_cholesky_lu_flags(self, capsys):
+        assert "DAG runtime" in _error_line(
+            capsys, ["simulate", "--algorithm", "cholesky", "--runtime", "spmd"])
+        assert "square" in _error_line(
+            capsys, ["simulate", "--algorithm", "cholesky", "--rows", "128",
+                     "--cols", "64"])
+        assert "factor only" in _error_line(
+            capsys, ["simulate", "--algorithm", "lu", "--want-q"])
+        assert "--domains-per-cluster" in _error_line(
+            capsys, ["simulate", "--algorithm", "lu", "--domains-per-cluster", "4"])
 
-        with pytest.raises(ConfigurationError, match="DAG runtime"):
-            main(["simulate", "--algorithm", "cholesky", "--runtime", "spmd"])
-        with pytest.raises(ConfigurationError, match="square"):
-            main(["simulate", "--algorithm", "cholesky", "--rows", "128",
-                  "--cols", "64"])
-        with pytest.raises(ConfigurationError, match="factor only"):
-            main(["simulate", "--algorithm", "lu", "--want-q"])
-        with pytest.raises(ConfigurationError, match="--domains-per-cluster"):
-            main(["simulate", "--algorithm", "lu", "--domains-per-cluster", "4"])
-
-    def test_figure_rejects_inapplicable_cholesky_sweep_flags(self):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="--panel-tree"):
-            main(["figure", "--id", "dag-cholesky-sweep", "--panel-tree", "binary"])
-        with pytest.raises(ConfigurationError, match="--rows"):
-            main(["figure", "--id", "dag-cholesky-sweep", "--rows", "4096"])
-        with pytest.raises(ConfigurationError, match="--placement"):
-            main(["figure", "--id", "caqr-sweep", "--placement", "block"])
+    def test_figure_rejects_inapplicable_cholesky_sweep_flags(self, capsys):
+        assert "--panel-tree" in _error_line(
+            capsys, ["figure", "--id", "dag-cholesky-sweep", "--panel-tree", "binary"])
+        assert "--rows" in _error_line(
+            capsys, ["figure", "--id", "dag-cholesky-sweep", "--rows", "4096"])
+        assert "--placement" in _error_line(
+            capsys, ["figure", "--id", "caqr-sweep", "--placement", "block"])
 
     def test_simulate_dag_cholesky_and_lu(self, capsys):
         code = main(
@@ -389,38 +400,34 @@ class TestServiceCommands:
         assert "best tile size:" in out
         assert "escalated 1 of 2 candidates" in out
 
-    def test_query_rejects_inapplicable_flags(self):
-        from repro.exceptions import ConfigurationError
+    def test_query_rejects_inapplicable_flags(self, capsys):
+        assert "--burst needs --connect" in _error_line(
+            capsys, ["query", "--burst", "4"])
+        assert "--stats needs --connect" in _error_line(
+            capsys, ["query", "--stats"])
+        assert "--burst must be >= 1" in _error_line(
+            capsys, ["query", "--connect", "localhost:1", "--burst", "0"])
+        assert "--candidates" in _error_line(
+            capsys, ["query", "--candidates", "16,32"])
+        assert "drop --connect" in _error_line(
+            capsys, ["query", "--connect", "localhost:1", "--best-tile"])
+        assert "server owns the cache" in _error_line(
+            capsys, ["query", "--connect", "localhost:1", "--no-cache"])
+        assert "HOST:PORT" in _error_line(
+            capsys, ["query", "--connect", "nocolon"])
+        assert "tiled algorithms" in _error_line(
+            capsys, ["query", "--best-tile", "--algorithm", "tsqr"])
+        assert "drop --tile-size" in _error_line(
+            capsys, ["query", "--algorithm", "caqr", "--best-tile",
+                     "--tile-size", "32"])
 
-        with pytest.raises(ConfigurationError, match="--burst needs --connect"):
-            main(["query", "--burst", "4"])
-        with pytest.raises(ConfigurationError, match="--stats needs --connect"):
-            main(["query", "--stats"])
-        with pytest.raises(ConfigurationError, match="--burst must be >= 1"):
-            main(["query", "--connect", "localhost:1", "--burst", "0"])
-        with pytest.raises(ConfigurationError, match="--candidates"):
-            main(["query", "--candidates", "16,32"])
-        with pytest.raises(ConfigurationError, match="drop --connect"):
-            main(["query", "--connect", "localhost:1", "--best-tile"])
-        with pytest.raises(ConfigurationError, match="server owns the cache"):
-            main(["query", "--connect", "localhost:1", "--no-cache"])
-        with pytest.raises(ConfigurationError, match="HOST:PORT"):
-            main(["query", "--connect", "nocolon"])
-        with pytest.raises(ConfigurationError, match="tiled algorithms"):
-            main(["query", "--best-tile", "--algorithm", "tsqr"])
-        with pytest.raises(ConfigurationError, match="drop --tile-size"):
-            main(["query", "--algorithm", "caqr", "--best-tile",
-                  "--tile-size", "32"])
-
-    def test_serve_rejects_bad_flags(self):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="--jobs"):
-            main(["serve", "--jobs", "0"])
-        with pytest.raises(ConfigurationError, match="mutually exclusive"):
-            main(["serve", "--no-cache", "--cache-dir", "somewhere"])
-        with pytest.raises(ConfigurationError, match="batch_window_s"):
-            main(["serve", "--batch-window-ms", "-1"])
+    def test_serve_rejects_bad_flags(self, capsys):
+        assert "--jobs" in _error_line(
+            capsys, ["serve", "--jobs", "0"])
+        assert "mutually exclusive" in _error_line(
+            capsys, ["serve", "--no-cache", "--cache-dir", "somewhere"])
+        assert "batch_window_s" in _error_line(
+            capsys, ["serve", "--batch-window-ms", "-1"])
 
 
 class TestFailureCommands:
@@ -439,26 +446,22 @@ class TestFailureCommands:
         assert "re-executed" in out
         assert "of the failure-free run" in out
 
-    def test_simulate_failure_flags_rejected_for_spmd(self):
-        from repro.exceptions import ConfigurationError
+    def test_simulate_failure_flags_rejected_for_spmd(self, capsys):
+        assert "--runtime dag" in _error_line(
+            capsys, ["simulate", "--algorithm", "tsqr",
+                     "--fail-rank", "0", "--fail-at", "0.1"])
+        assert "--runtime dag" in _error_line(
+            capsys, ["simulate", "--algorithm", "caqr", "--runtime", "spmd",
+                     "--fail-rank", "0", "--fail-at", "0.1"])
 
-        with pytest.raises(ConfigurationError, match="--runtime dag"):
-            main(["simulate", "--algorithm", "tsqr",
-                  "--fail-rank", "0", "--fail-at", "0.1"])
-        with pytest.raises(ConfigurationError, match="--runtime dag"):
-            main(["simulate", "--algorithm", "caqr", "--runtime", "spmd",
-                  "--fail-rank", "0", "--fail-at", "0.1"])
-
-    def test_simulate_failure_flags_come_in_pairs(self):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="pairs"):
-            main(["simulate", "--algorithm", "cholesky", "--cols", "512",
-                  "--tile-size", "64", "--fail-rank", "0"])
-        with pytest.raises(ConfigurationError, match="pairs"):
-            main(["simulate", "--algorithm", "cholesky", "--cols", "512",
-                  "--tile-size", "64", "--fail-rank", "0", "--fail-at", "0.1",
-                  "--fail-at", "0.2"])
+    def test_simulate_failure_flags_come_in_pairs(self, capsys):
+        assert "pairs" in _error_line(
+            capsys, ["simulate", "--algorithm", "cholesky", "--cols", "512",
+                     "--tile-size", "64", "--fail-rank", "0"])
+        assert "pairs" in _error_line(
+            capsys, ["simulate", "--algorithm", "cholesky", "--cols", "512",
+                     "--tile-size", "64", "--fail-rank", "0", "--fail-at", "0.1",
+                     "--fail-at", "0.2"])
 
     def test_figure_dag_failures_to_csv(self, capsys, tmp_path):
         csv_path = tmp_path / "failures.csv"
@@ -482,27 +485,33 @@ class TestFailureCommands:
         assert float(failing["makespan (s)"]) >= float(baseline["makespan (s)"])
         assert float(failing["failure-free (s)"]) == float(baseline["makespan (s)"])
 
-    def test_figure_failure_counts_rejected_elsewhere(self):
-        from repro.exceptions import ConfigurationError
+    def test_figure_failure_counts_rejected_elsewhere(self, capsys):
+        assert "--failure-counts" in _error_line(
+            capsys, ["figure", "--id", "fig4", "--failure-counts", "0,1"])
+        assert "no failure counts" in _error_line(
+            capsys, ["figure", "--id", "dag-failures", "--failure-counts", ""])
+        assert ">= 0" in _error_line(
+            capsys, ["figure", "--id", "dag-failures", "--failure-counts", "0,-1"])
 
-        with pytest.raises(ConfigurationError, match="--failure-counts"):
-            main(["figure", "--id", "fig4", "--failure-counts", "0,1"])
-        with pytest.raises(ConfigurationError, match="no failure counts"):
-            main(["figure", "--id", "dag-failures", "--failure-counts", ""])
-        with pytest.raises(ConfigurationError, match=">= 0"):
-            main(["figure", "--id", "dag-failures", "--failure-counts", "0,-1"])
+    def test_query_resilience_flags_need_connect(self, capsys):
+        assert "--connect" in _error_line(
+            capsys, ["query", "--algorithm", "tsqr", "--retries", "2"])
+        assert "--connect" in _error_line(
+            capsys, ["query", "--algorithm", "tsqr", "--timeout", "1.0"])
+        assert "retries" in _error_line(
+            capsys, ["query", "--connect", "localhost:1", "--retries", "-1"])
+        assert "timeout" in _error_line(
+            capsys, ["query", "--connect", "localhost:1", "--timeout", "0"])
 
-    def test_query_resilience_flags_need_connect(self):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="--connect"):
-            main(["query", "--algorithm", "tsqr", "--retries", "2"])
-        with pytest.raises(ConfigurationError, match="--connect"):
-            main(["query", "--algorithm", "tsqr", "--timeout", "1.0"])
-        with pytest.raises(ConfigurationError, match="retries"):
-            main(["query", "--connect", "localhost:1", "--retries", "-1"])
-        with pytest.raises(ConfigurationError, match="timeout"):
-            main(["query", "--connect", "localhost:1", "--timeout", "0"])
+    def test_unreachable_server_is_one_line_with_exit_code_2(self, capsys):
+        """A service error is reported like a configuration error."""
+        with socket.socket() as probe:  # a port nothing is listening on
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        err = _error_line(
+            capsys, ["query", "--algorithm", "tsqr", "--connect", f"127.0.0.1:{port}",
+                     "--retries", "0", "--timeout", "0.5"])
+        assert "1 attempt(s)" in err
 
     def test_epilog_mentions_failure_injection(self, capsys):
         with pytest.raises(SystemExit):
@@ -546,15 +555,13 @@ class TestObservabilityCommands:
         )
         assert code == 0
 
-    def test_figure_trace_hotspots_rejects_inapplicable_flags(self):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="--failure-counts"):
-            main(["figure", "--id", "trace-hotspots", "--failure-counts", "0,1"])
-        with pytest.raises(ConfigurationError, match="--want-q"):
-            main(["figure", "--id", "trace-hotspots", "--want-q"])
-        with pytest.raises(ConfigurationError, match="--points"):
-            main(["figure", "--id", "trace-hotspots", "--points", "2"])
+    def test_figure_trace_hotspots_rejects_inapplicable_flags(self, capsys):
+        assert "--failure-counts" in _error_line(
+            capsys, ["figure", "--id", "trace-hotspots", "--failure-counts", "0,1"])
+        assert "--want-q" in _error_line(
+            capsys, ["figure", "--id", "trace-hotspots", "--want-q"])
+        assert "--points" in _error_line(
+            capsys, ["figure", "--id", "trace-hotspots", "--points", "2"])
 
     def test_simulate_trace_out_perfetto(self, capsys, tmp_path):
         out_path = tmp_path / "trace.perfetto.json"
@@ -581,11 +588,9 @@ class TestObservabilityCommands:
         header = out_path.read_text().splitlines()[0]
         assert header == "rank,window,t_start_s,t_end_s,busy_s,comm_wait_s,recv_bytes"
 
-    def test_query_stats_json_needs_stats(self):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="--json only applies"):
-            main(["query", "--connect", "localhost:1", "--json"])
+    def test_query_stats_json_needs_stats(self, capsys):
+        assert "--json only applies" in _error_line(
+            capsys, ["query", "--connect", "localhost:1", "--json"])
 
     def test_epilog_mentions_observability(self, capsys):
         with pytest.raises(SystemExit):
