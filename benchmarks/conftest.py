@@ -3,7 +3,10 @@
 Every benchmark regenerates one table or figure of the paper's evaluation
 (§V) on the simulated Grid'5000 platform, prints the resulting series next to
 the paper's approximate values, and stores the raw numbers as CSV under
-``results/``.
+``results/``.  Those are simulated (virtual-time) numbers, identical on every
+host.  Host timings — the engine and service perf benchmarks' CSVs and
+``BENCH_<name>.json`` trajectories — go to the git-ignored ``results/local/``
+instead, so a benchmark run never rewrites a tracked file.
 
 Two sweep sizes are supported:
 
@@ -34,6 +37,9 @@ from repro.experiments.workloads import PAPER_N_VALUES, paper_m_values, reduced_
 
 #: Directory where benchmark outputs (CSV series) are written.
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
+#: Git-ignored directory for host-timing outputs (timing CSVs, fresh
+#: ``BENCH_<name>.json`` trajectories).
+LOCAL_RESULTS_DIR = RESULTS_DIR / "local"
 
 
 def full_sweep() -> bool:
@@ -82,6 +88,13 @@ def results_dir() -> Path:
     return RESULTS_DIR
 
 
+@pytest.fixture(scope="session")
+def local_results_dir() -> Path:
+    """Git-ignored directory for host-timing outputs, created on demand."""
+    LOCAL_RESULTS_DIR.mkdir(parents=True, exist_ok=True)
+    return LOCAL_RESULTS_DIR
+
+
 def report_figure(figure: FigureData, results_dir: Path, *, note: str = "") -> None:
     """Print a figure's series (table + ASCII sketch) and persist them as CSV."""
     print(f"\n=== {figure.figure_id}: {figure.title} ===")
@@ -110,12 +123,14 @@ def bench_json_path(name: str, results_dir: Path = RESULTS_DIR) -> Path:
 
 
 def load_bench_json(name: str, results_dir: Path = RESULTS_DIR) -> dict | None:
-    """Read a previously recorded trajectory, or None when absent/corrupt.
+    """Read a recorded trajectory, or None when absent/corrupt.
 
-    The recorded file is the regression baseline: a perf benchmark loads it
-    *before* overwriting, derives its gate limit from the loaded copy, and
-    records that baseline next to the fresh numbers in the new file — so a
-    failing run's artifact shows both, and git keeps the committed baseline.
+    The committed ``results/BENCH_<name>.json`` is the regression baseline:
+    a perf benchmark derives its gate limits from it and echoes it next to
+    the fresh numbers it writes to ``results/local/`` — so a failing run's
+    artifact shows both, and the baseline moves only when a recording is
+    deliberately committed (copy the local file over the tracked one), never
+    with the speed of whichever host ran last.
     """
     path = bench_json_path(name, results_dir)
     if not path.exists():
@@ -126,7 +141,9 @@ def load_bench_json(name: str, results_dir: Path = RESULTS_DIR) -> dict | None:
         return None
 
 
-def write_bench_json(name: str, payload: dict, results_dir: Path = RESULTS_DIR) -> Path:
+def write_bench_json(
+    name: str, payload: dict, results_dir: Path = LOCAL_RESULTS_DIR
+) -> Path:
     """Persist a perf trajectory as pretty-printed JSON and return the path."""
     path = bench_json_path(name, results_dir)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -135,11 +152,12 @@ def write_bench_json(name: str, payload: dict, results_dir: Path = RESULTS_DIR) 
 
 
 @pytest.fixture(scope="session")
-def bench_json(results_dir):
-    """Reporter fixture: ``bench_json(name, payload)`` writes BENCH_<name>.json."""
+def bench_json(local_results_dir):
+    """Reporter fixture: ``bench_json(name, payload)`` writes
+    ``results/local/BENCH_<name>.json``."""
 
     def _write(name: str, payload: dict) -> Path:
-        return write_bench_json(name, payload, results_dir)
+        return write_bench_json(name, payload, local_results_dir)
 
     return _write
 
@@ -148,11 +166,11 @@ def bench_json(results_dir):
 # Regression gates (wall clock and events/s)
 # ---------------------------------------------------------------------------
 #
-# Perf benchmarks gate themselves against the BENCH_<name>.json they loaded
-# before overwriting it.  Rows are dicts carrying at least ``ranks``,
-# ``wall_s`` and ``events_per_s``; all three helpers return human-readable
-# failure messages (empty list = gate passed) so a benchmark can collect
-# every violation before asserting.
+# Perf benchmarks gate themselves against the committed BENCH_<name>.json.
+# Rows are dicts carrying at least ``ranks``, ``wall_s`` and
+# ``events_per_s``; all three helpers return human-readable failure
+# messages (empty list = gate passed) so a benchmark can collect every
+# violation before asserting.
 
 def wall_gate_failures(
     fresh_rows: list[dict],

@@ -4,12 +4,14 @@ Not a figure of the paper: this tracks the *simulator's own* speed so future
 engine changes can be compared against the recorded baseline.  A
 virtual-payload TSQR run is simulated on synthetic 4-cluster grids of
 32/128/512/2048/8192 ranks (32768 with ``REPRO_BENCH_FULL=1``); wall-clock
-time per rank count goes to ``results/scaling_smoke.csv`` and the
+time per rank count goes to ``results/local/scaling_smoke.csv`` and the
 machine-readable trajectory — wall time, engine events/s and speedup over the
-per-rank-count baseline — to ``results/BENCH_engine.json``.
+per-rank-count baseline — to ``results/local/BENCH_engine.json`` (git
+ignores ``results/local/``; a run rewrites no tracked file).
 
-Three gates run against the BENCH file loaded *before* this run rewrote it,
-so an engine regression fails tier-1 instead of silently shipping:
+Three gates run against the committed ``results/BENCH_engine.json``, so an
+engine regression fails tier-1 instead of silently shipping, and the
+reference moves only when a new recording is committed:
 
 * wall clock per rank count within 2x of the recorded run (absolute 1s floor
   so slow CI hardware cannot flake the suite);
@@ -39,7 +41,7 @@ A fourth section measures the always-on streaming-observability layer: the
 streaming run, best of paired measurements, and the streaming wall must stay
 within 10% (plus a small absolute slack) of the bare run — the overhead
 budget the observability layer was designed against.  Rows go to
-``results/scaling_smoke_tracing.csv`` and ``BENCH_engine.json`` under
+``results/local/scaling_smoke_tracing.csv`` and ``BENCH_engine.json`` under
 ``tracing_overhead``.
 """
 
@@ -129,14 +131,14 @@ def _platform(n_ranks: int) -> Platform:
     )
 
 
-def test_engine_scaling_smoke(results_dir, bench_json):
-    baseline = load_bench_json("engine", results_dir) or {}
+def test_engine_scaling_smoke(local_results_dir, bench_json):
+    baseline = load_bench_json("engine") or {}
     prev_rows = baseline.get("rows", [])
     prev_dag_rows = [r for r in [(baseline.get("dag") or {}).get("row")] if r]
     prev_chol_rows = [r for r in [(baseline.get("dag_cholesky") or {}).get("row")] if r]
 
     # Per-rank-count speedup baselines: the seed constants, extended by
-    # whatever earlier runs already pinned (JSON keys arrive as strings).
+    # whatever the committed recording pinned (JSON keys arrive as strings).
     baselines = dict(BASELINE_WALL_S)
     for key, wall in (baseline.get("baseline_wall_s") or {}).items():
         baselines.setdefault(int(key), wall)
@@ -153,7 +155,7 @@ def test_engine_scaling_smoke(results_dir, bench_json):
         wall_s = time.perf_counter() - start
         events = result.trace.total_events
         # First measurement of a new rank count becomes its baseline, pinned
-        # in the BENCH file from then on.
+        # once a recording carrying it is committed.
         base_wall = baselines.setdefault(n_ranks, round(wall_s, 4))
         rows.append(
             {
@@ -180,7 +182,8 @@ def test_engine_scaling_smoke(results_dir, bench_json):
         assert result.makespan_s > 0.0
         assert wall_s < 30.0
     report_rows(
-        "Engine scaling smoke (wall time vs ranks)", rows, results_dir, "scaling_smoke.csv"
+        "Engine scaling smoke (wall time vs ranks)", rows, local_results_dir,
+        "scaling_smoke.csv",
     )
 
     # A 512-rank task-DAG CAQR point tracks the dataflow runtime's engine
@@ -202,7 +205,8 @@ def test_engine_scaling_smoke(results_dir, bench_json):
         "events_per_s": round(dag_events / dag_wall, 1) if dag_wall > 0 else None,
     }
     report_rows(
-        "DAG runtime smoke (512 ranks)", [dag_row], results_dir, "scaling_smoke_dag.csv"
+        "DAG runtime smoke (512 ranks)", [dag_row], local_results_dir,
+        "scaling_smoke_dag.csv",
     )
     assert dag_result.critical_path_s <= dag_result.makespan_s
     assert dag_wall < 30.0
@@ -230,7 +234,7 @@ def test_engine_scaling_smoke(results_dir, bench_json):
     report_rows(
         "DAG-Cholesky runtime smoke (512 ranks)",
         [chol_row],
-        results_dir,
+        local_results_dir,
         "scaling_smoke_dag_cholesky.csv",
     )
     assert chol_result.critical_path_s <= chol_result.makespan_s
@@ -273,14 +277,13 @@ def test_engine_scaling_smoke(results_dir, bench_json):
     report_rows(
         "Streaming-stats overhead (wall on vs off)",
         overhead_rows,
-        results_dir,
+        local_results_dir,
         "scaling_smoke_tracing.csv",
     )
 
-    # Gate limits derive from the baseline loaded *before* this run rewrote
-    # the file; the fresh artifact records that baseline next to the fresh
-    # numbers, so a CI failure uploads both (and git keeps the committed
-    # baseline for recovery).
+    # Gate limits derive from the committed baseline; the fresh artifact
+    # records that baseline next to the fresh numbers, so a CI failure
+    # uploads both.
     bench_json(
         "engine",
         {

@@ -20,9 +20,10 @@ Two acceptance gates are asserted, not just recorded:
   simulation — the single-flight dedup contract.
 
 The machine-readable trajectory (latencies, speedups, warm queries/s, dedup
-factor, cache counters) goes to ``results/BENCH_service.json``; the
-previously recorded copy is loaded first and echoed back as ``baseline`` so
-a regression investigation always has both runs side by side.
+factor, cache counters) goes to the git-ignored
+``results/local/BENCH_service.json``, with the committed
+``results/BENCH_service.json`` echoed back as ``baseline`` so a regression
+investigation always has both runs side by side.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def _timed(fn) -> tuple[float, object]:
     return time.perf_counter() - start, result
 
 
-def test_service_cache_tiers_and_single_flight(tmp_path, bench_json, results_dir):
+def test_service_cache_tiers_and_single_flight(tmp_path, bench_json, local_results_dir):
     baseline = load_bench_json("service")
     store_dir = tmp_path / "cache"
 
@@ -129,7 +130,7 @@ def test_service_cache_tiers_and_single_flight(tmp_path, bench_json, results_dir
          "speedup_vs_cold": round(disk_speedup, 1),
          "queries_per_s": round(1.0 / disk_s, 2)},
     ]
-    report_rows("service: query latency by cache tier", rows, results_dir,
+    report_rows("service: query latency by cache tier", rows, local_results_dir,
                 "service_tiers.csv")
     print(f"single-flight: burst of {BURST_N} identical queries -> "
           f"{burst_service.runner.simulations_run} simulation(s) in "

@@ -7,10 +7,13 @@ it and drives a **ready queue**:
 
 * when a task completes, its outputs are **sent immediately** to every rank
   that consumes them (eager, asynchronous — the sender's clock never waits);
-* a rank **receives lazily**: before picking the next task it probes its
-  expected messages and collects only those whose virtual arrival time has
-  passed (a free receive — the communication was hidden behind whatever the
-  rank computed in the meantime);
+* a rank **receives lazily**: before picking the next task it collects
+  only the expected messages whose virtual arrival time has passed (a free
+  receive — the communication was hidden behind whatever the rank computed
+  in the meantime).  It finds them in an **arrival index**, a per-rank
+  min-heap the senders push each message's priced arrival into, so a step
+  costs O(log n) per message instead of a look at every outstanding
+  receive;
 * among the ready tasks the configured **priority policy** picks the next
   one; when nothing is ready the rank falls back to its earliest unfinished
   task in graph order and blocks on that task's missing inputs.
@@ -18,9 +21,9 @@ it and drives a **ready queue**:
 The id-order fallback is what makes the runtime deadlock-free: task ids are
 a topological order of the graph, so around any hypothetical cycle of
 blocked ranks the earliest-unfinished ids would strictly decrease — a
-contradiction.  Everything else (probe results, ready-queue contents, tie
-breaks) is a pure function of simulation state, so virtual traces are
-bit-reproducible and identical to real-payload runs.
+contradiction.  Everything else (arrival-index contents, ready-queue
+contents, tie breaks) is a pure function of simulation state, so virtual
+traces are bit-reproducible and identical to real-payload runs.
 
 Values are stored **per version** — keyed by ``(producer task, handle)`` —
 so a rank can hold a tile's old value for a straggling reader while a newer
@@ -210,8 +213,11 @@ class _CommPlan:
         self.remote_counts: list[dict[int, int]] = [{} for _ in range(p)]
         self.local_succs: dict[int, list[int]] = {}
         self.remote_inputs: dict[int, tuple[tuple[int, int, int], ...]] = {}
-        self.sends_by_task: dict[int, list[tuple[int, int, int]]] = {}
-        self.init_sends_by_rank: list[list[tuple[int, int, int]]] = [[] for _ in range(p)]
+        #: Sends as ``(vkey, dest, nbytes, position in dest's expected list)``.
+        self.sends_by_task: dict[int, list[tuple[int, int, int, int]]] = {}
+        self.init_sends_by_rank: list[list[tuple[int, int, int, int]]] = [
+            [] for _ in range(p)
+        ]
         self.init_values_by_rank: list[list[int]] = [[] for _ in range(p)]
         self.expected_by_rank: list[list[tuple[int, int]]] = [[] for _ in range(p)]
         self.waiters_by_rank: list[dict[int, list[int]]] = [{} for _ in range(p)]
@@ -263,16 +269,19 @@ class _CommPlan:
 
         # The message plan itself comes from the single shared definition in
         # the analysis layer, so the cost model's counts and the runtime's
-        # sends can never drift apart.
+        # sends can never drift apart.  Each send carries the message's
+        # position in its receiver's expected list, the receiver's tie break
+        # between messages that arrive at the same virtual time.
         for prod, h, src, dest, nbytes in iter_messages(graph, placement):
             vkey = (prod + 1) * H + h
+            send = (vkey, dest, nbytes, len(self.expected_by_rank[dest]))
             if prod >= 0:
-                self.sends_by_task.setdefault(prod, []).append((vkey, dest, nbytes))
+                self.sends_by_task.setdefault(prod, []).append(send)
             else:
                 if h not in seen_initial:
                     seen_initial.add(h)
                     self.init_values_by_rank[src].append(h)
-                self.init_sends_by_rank[src].append((vkey, dest, nbytes))
+                self.init_sends_by_rank[src].append(send)
             self.expected_by_rank[dest].append((vkey, src))
             uses = self.use_counts_by_rank[src]
             uses[vkey] = uses.get(vkey, 0) + 1  # the outbound send is one use
@@ -380,6 +389,14 @@ def dag_program(
     my_ids = plan.tasks_by_rank[me]
     store: dict[int, object] = {}
 
+    # The arrival index: one min-heap per rank of ``(arrival, position in
+    # the receiver's expected list, vkey)``, pushed by the sender with the
+    # arrival time its send priced.  Entries whose message the blocking
+    # fallback already received are skipped when they surface.
+    arrivals: list[list[tuple[float, int, int]]] = ctx.state.shared(
+        ("dag-arrivals", comm.core.comm_id), lambda: [[] for _ in range(comm.size)]
+    )
+    inbox = arrivals[me]
     missing_local = dict(plan.local_preds[me])
     missing_remote = dict(plan.remote_counts[me])
     expected: dict[int, int] = dict(plan.expected_by_rank[me])
@@ -401,13 +418,17 @@ def dag_program(
         if left == 0 and vkey not in keep:
             del store[vkey]
 
+    def _send(vkey: int, dest: int, nbytes: int, position: int) -> None:
+        arrival = comm.send(store[vkey], dest=dest, tag=vkey, nbytes=nbytes)
+        heappush(arrivals[dest], (arrival, position, vkey))
+        _consume(vkey)
+
     # Initial tiles this rank owns, then the startup sends of those needed
     # remotely (eager, like every other producer-side send).
     for h in plan.init_values_by_rank[me]:
         store[h] = _initial_value(graph, h, spec)
-    for vkey, dest, nbytes in plan.init_sends_by_rank[me]:
-        comm.send(store[vkey], dest=dest, tag=vkey, nbytes=nbytes)
-        _consume(vkey)
+    for send in plan.init_sends_by_rank[me]:
+        _send(*send)
 
     ready: list[tuple[int, int]] = []
     for tid in my_ids:
@@ -431,13 +452,20 @@ def dag_program(
     fallback_pos = 0
     while n_done < n_mine:
         # Collect every expected message that has virtually arrived by now —
-        # free receives, communication already hidden.  The per-task yields
-        # below keep the ranks interleaved in virtual-time order, so "has it
-        # arrived?" is causally meaningful, not a race against peers.
+        # free receives, communication already hidden — in expected-list
+        # order.  The per-task yields below keep the ranks interleaved in
+        # virtual-time order, so "has it arrived?" is causally meaningful,
+        # not a race against peers.  Each look at the arrival index stands
+        # for polling every outstanding receive, and is charged as such.
         if expected:
+            comm.checkpoint(len(expected))
             now = ctx.clock()
-            for vkey in [k for k, src in expected.items()
-                         if (a := comm.probe(source=src, tag=k)) is not None and a <= now]:
+            arrived = []
+            while inbox and inbox[0][0] <= now:
+                _arrival, position, vkey = heappop(inbox)
+                if vkey in expected:
+                    arrived.append((position, vkey))
+            for _position, vkey in sorted(arrived):
                 yield from _receive(vkey)
         tid = -1
         while ready:
@@ -448,15 +476,14 @@ def dag_program(
         if tid < 0:
             if expected:
                 # Nothing ready now: advance to the next event.  Take the
-                # queued message with the earliest virtual arrival (its
-                # waiters are the soonest-possible work)...
-                best_key, best_arrival = -1, 0.0
-                for vkey, src in expected.items():
-                    arrival = comm.probe(source=src, tag=vkey)
-                    if arrival is not None and (best_key < 0 or arrival < best_arrival):
-                        best_key, best_arrival = vkey, arrival
-                if best_key >= 0:
-                    yield from _receive(best_key)
+                # queued message with the earliest virtual arrival, ties
+                # going to the earlier expected one (its waiters are the
+                # soonest-possible work)...
+                comm.checkpoint(len(expected))
+                while inbox and inbox[0][2] not in expected:
+                    heappop(inbox)
+                if inbox:
+                    yield from _receive(heappop(inbox)[2])
                     continue
             # ...or, with nothing queued at all, block on the earliest
             # unfinished task in graph order (its local preds are
@@ -498,13 +525,12 @@ def dag_program(
             missing_local[succ] = left
             if left == 0 and not missing_remote.get(succ) and succ not in done:
                 heappush(ready, (order[succ], succ))
-        for vkey, dest, nbytes in plan.sends_by_task.get(tid, ()):
-            comm.send(store[vkey], dest=dest, tag=vkey, nbytes=nbytes)
-            _consume(vkey)
+        for send in plan.sends_by_task.get(tid, ()):
+            _send(*send)
         # Hand the CPU back so the globally earliest rank runs next: without
         # this, a compute-heavy rank would race arbitrarily far ahead in
-        # virtual time and its probes would miss messages that causally had
-        # long arrived.
+        # virtual time and its arrival checks would miss messages that
+        # causally had long arrived.
         yield from ctx.yield_turn()
 
     tiles = {h: store[vkey] for h, vkey in collect[me] if vkey in store}

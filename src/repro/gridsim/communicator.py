@@ -301,8 +301,14 @@ class CommCore:
 
     # ----------------------------------------------------------------- p2p
     def send(self, local_rank: int, payload: object, dest: int, tag: object = 0,
-             nbytes: int | None = None) -> None:
-        """Eager send: enqueue the payload with the sender's current clock."""
+             nbytes: int | None = None) -> float:
+        """Eager send: price the message and enqueue it for ``dest``.
+
+        The message is priced once, here: the link class and the alpha-beta
+        transfer time from the sender's current clock give its virtual
+        arrival time, which is stored with the mailbox entry (``recv`` and
+        ``probe`` read it back) and returned to the caller.
+        """
         state = self.state
         if state.aborted:
             state.scheduler.check_abort()
@@ -311,11 +317,17 @@ class CommCore:
         if not 0 <= dest < self.size:
             raise CommunicatorError(f"send to invalid rank {dest} (size {self.size})")
         size = payload_nbytes(payload) if nbytes is None else int(nbytes)
-        sender_clock = state._clocks[self.world_ranks[local_rank]]
+        src_world = self.world_ranks[local_rank]
+        sender_clock = state._clocks[src_world]
+        link, spec = state.link_of(src_world, self.world_ranks[dest])
+        arrival = sender_clock + (0.0 if spec is None else spec.transfer_time(size))
         key = (dest, local_rank, tag)
-        self._mailbox.setdefault(key, deque()).append((payload, sender_clock, size))
+        self._mailbox.setdefault(key, deque()).append(
+            (payload, sender_clock, size, link, arrival)
+        )
         # Wake the receiver if it is parked on exactly this (source, tag).
         state.scheduler.unpark("recv", (self.comm_id, dest, local_rank, tag))
+        return arrival
 
     def recv(self, local_rank: int, source: int, tag: object = 0):
         """Blocking receive; advances the receiver's clock by the transfer time.
@@ -333,11 +345,10 @@ class CommCore:
         if not 0 <= source < self.size:
             raise CommunicatorError(f"recv from invalid rank {source} (size {self.size})")
         key = (local_rank, source, tag)
-        me = self.world_ranks[local_rank]
         while True:
             queue = self._mailbox.get(key)
             if queue:
-                payload, sender_clock, nbytes = queue.popleft()
+                payload, sender_clock, nbytes, link, arrival = queue.popleft()
                 break
             yield Park(
                 "recv",
@@ -348,45 +359,57 @@ class CommCore:
             self._check_abort()
             if state.failures is not None:
                 self._revocation_check(local_rank)
-        src_world = self.world_ranks[source]
-        # Fused price-and-record: classify the link once (memoised per rank
-        # pair), charge the alpha-beta cost, and append to the trace directly.
-        link, spec = state.link_of(src_world, me)
-        transfer = 0.0 if spec is None else spec.transfer_time(nbytes)
-        arrival = sender_clock + transfer
+        # ``send`` priced the arrival; a receiver that is behind waits for it.
+        me = self.world_ranks[local_rank]
         clocks = state._clocks
         my_clock = clocks[me]
         if arrival > my_clock:
             clocks[me] = arrival
         state.trace.record_message(
-            src_world, me, nbytes, link, tag=str(tag), send_time=sender_clock,
-            recv_time=arrival, wait_s=max(0.0, arrival - my_clock),
+            self.world_ranks[source], me, nbytes, link, tag=str(tag),
+            send_time=sender_clock, recv_time=arrival,
+            wait_s=max(0.0, arrival - my_clock),
         )
         return payload
 
     def probe(self, local_rank: int, source: int, tag: object = 0) -> float | None:
         """Non-destructive check for a pending message from ``source``/``tag``.
 
-        Returns the message's virtual *arrival time* (sender clock plus
-        transfer time) when one is queued, ``None`` otherwise.  Nothing is
+        Returns the message's virtual *arrival time* (the value ``send``
+        returned) when one is queued, ``None`` otherwise.  Nothing is
         consumed, no clock moves and nothing is traced — the caller decides
         whether to :meth:`recv`.  Under the cooperative scheduler the result
-        is a pure function of simulation state, so probe-driven programs (the
-        DAG runtime's ready queue) stay deterministic.
+        is a pure function of simulation state, so probe-driven programs
+        stay deterministic.
         """
+        self.checkpoint(local_rank)
+        if not 0 <= source < self.size:
+            raise CommunicatorError(f"probe of invalid rank {source} (size {self.size})")
+        queue = self._mailbox.get((local_rank, source, tag))
+        return queue[0][4] if queue else None
+
+    def checkpoint(self, local_rank: int, count: int = 1) -> None:
+        """The entry checks of ``count`` operations, without an operation.
+
+        Exactly what ``count`` consecutive :meth:`probe` calls check: the
+        abort flag, then — under a failure schedule — one full failure
+        checkpoint plus revocation check and ``count - 1`` more failure
+        checkpoints (the revocation verdict cannot change in between: only
+        the caller runs, and its own death raises).  A program that polls
+        by other means than ``probe`` (the DAG runtime's arrival index)
+        charges its polls here, so failure deadlines counted in events
+        fire where they would under polling.
+        """
+        if count < 1:
+            return
         state = self.state
         if state.aborted:
             state.scheduler.check_abort()
         if state.failures is not None:
             self._failure_checks(local_rank)
-        if not 0 <= source < self.size:
-            raise CommunicatorError(f"probe of invalid rank {source} (size {self.size})")
-        queue = self._mailbox.get((local_rank, source, tag))
-        if not queue:
-            return None
-        _payload, sender_clock, nbytes = queue[0]
-        spec = state.link_of(self.world_ranks[source], self.world_ranks[local_rank])[1]
-        return sender_clock + (0.0 if spec is None else spec.transfer_time(nbytes))
+            me = self.world_ranks[local_rank]
+            for _ in range(count - 1):
+                state.failure_checkpoint(me)
 
     def sendrecv(
         self, local_rank: int, payload: object, dest: int, source: int, tag: object = 0
@@ -670,7 +693,8 @@ class CommHandle:
     Blocking methods (``recv``, ``sendrecv`` and every collective) are
     generator functions: rank programs drive them with ``yield from`` so the
     engine can suspend the program at the blocking point.  Non-blocking
-    methods (``send``, ``probe``, ``compute``, ``clock``) are plain calls.
+    methods (``send``, ``probe``, ``checkpoint``, ``compute``, ``clock``)
+    are plain calls.
     """
 
     core: CommCore
@@ -702,9 +726,12 @@ class CommHandle:
         return self.core.state.clock(self.world_rank)
 
     # ------------------------------------------------------------------ p2p
-    def send(self, payload: object, dest: int, tag: object = 0, *, nbytes: int | None = None) -> None:
-        """Send ``payload`` to local rank ``dest`` (eager, non-blocking in time)."""
-        self.core.send(self.local_rank, payload, dest, tag, nbytes)
+    def send(self, payload: object, dest: int, tag: object = 0, *, nbytes: int | None = None) -> float:
+        """Send ``payload`` to local rank ``dest`` (eager, non-blocking in time).
+
+        Returns the message's virtual arrival time at ``dest``.
+        """
+        return self.core.send(self.local_rank, payload, dest, tag, nbytes)
 
     def recv(self, source: int, tag: object = 0):
         """Receive the next message from ``source`` with matching ``tag``."""
@@ -713,6 +740,10 @@ class CommHandle:
     def probe(self, source: int, tag: object = 0) -> float | None:
         """Arrival time of a pending message from ``source``/``tag``, or None."""
         return self.core.probe(self.local_rank, source, tag)
+
+    def checkpoint(self, count: int = 1) -> None:
+        """Charge the entry checks of ``count`` probes without probing."""
+        self.core.checkpoint(self.local_rank, count)
 
     def sendrecv(self, payload: object, dest: int, source: int, tag: object = 0):
         """Send to ``dest`` and receive from ``source``."""

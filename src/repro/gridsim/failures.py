@@ -5,9 +5,11 @@ processes disappear mid-run — so the simulator models failures as
 first-class, reproducible events.  A :class:`FailureSchedule` names, per
 rank, a virtual-time deadline (``at_time``) and/or an event-count budget
 (``after_events``); the simulation state checks the schedule at every
-*failure checkpoint* (each communicator operation entry, each park wake-up
-and each compute charge) and kills the rank at the first checkpoint at or
-past its deadline.
+*failure checkpoint* — each communicator operation entry (``send``,
+``recv``, ``probe``, every collective; ``CommHandle.checkpoint(count)``
+counts as ``count`` entries) and each compute charge — and kills the rank
+at the first checkpoint at or past its deadline.  Park wake-ups run only
+the revocation check.
 
 Death is implemented with the internal :class:`_RankDeath` control-flow
 signal: it unwinds the dying rank's generator, the engine retires the rank

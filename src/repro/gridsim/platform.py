@@ -254,7 +254,7 @@ class SimulationState:
         """Kill ``rank`` if its scheduled deadline has been reached.
 
         Called (guarded by ``failures is not None``) at every communicator
-        operation entry, park wake-up and compute charge.  A rank dies at
+        operation entry and compute charge.  A rank dies at
         its *first* checkpoint whose virtual clock is at or past its
         ``at_time``, or at its ``after_events + 1``-th checkpoint — both
         pure functions of simulation state, hence bit-deterministic.  Death

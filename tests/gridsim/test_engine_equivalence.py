@@ -10,6 +10,7 @@ they carry that cross-check forward.  These tests pin that contract, plus:
 
 * every collective tree pinned the same way;
 * the engine runs on the calling thread and never starts an OS thread;
+* the DAG ready loop reproduces its pins without ever probing a mailbox;
 * repeated runs in one process (no state leaks between runs);
 * ``jobs=1`` vs ``jobs=N`` figure sweeps, and event streams produced in a
   worker process vs the parent process;
@@ -36,12 +37,14 @@ from repro.dag.runtime import (
     run_dag_factorization,
     run_dag_tsqr,
 )
+from repro.gridsim.communicator import CommHandle
 from repro.gridsim.executor import SimulationResult, SPMDExecutor, run_spmd
 from repro.gridsim.failures import FailureSchedule, RankFailure
 from repro.programs.caqr import CAQRConfig, run_parallel_caqr
 from repro.scalapack.driver import ScaLAPACKConfig, run_scalapack_qr
 from repro.tsqr.parallel import TSQRConfig, run_parallel_tsqr
 from tests.conftest import event_hash
+from tests.dag.test_recovery import RECOVERY_RUNS
 
 CONFIG = TSQRConfig(m=262_144, n=32, n_domains=4, tree_kind="grid-hierarchical")
 CAQR_CONFIG = CAQRConfig(m=65_536, n=64, tile_size=64)
@@ -208,6 +211,43 @@ class TestSingleThreaded:
 
         sim = run_spmd(platform8, prog)
         assert sim.results == [threading.get_ident()] * platform8.n_processes
+
+
+class TestReadyLoopNeverProbes:
+    """The DAG ready loop finds arrivals in its index, never by probing.
+
+    A probe scan creeping back in would leave every digest as it is and
+    only cost time, so the pinned DAG workloads are rerun with probing refused.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _refuse_probes(self, monkeypatch):
+        def refuse(handle, *args, **kwargs):
+            raise AssertionError("the DAG ready loop probed a mailbox")
+
+        monkeypatch.setattr(CommHandle, "probe", refuse)
+
+    @pytest.mark.parametrize("workload", ["dag-cholesky", "dag-lu", "dag-tsqr"])
+    def test_parity_workload(self, platform8, workload):
+        assert event_hash(ENTRY_POINTS[workload](platform8)) == PARITY_HASHES[workload]
+
+    def test_trace_workload(self, platform8):
+        (placement, priority), expected = TRACE_HASHES[3]  # block-cyclic
+        config = DAGCAQRConfig(
+            m=32_768, n=96, tile_size=32, placement=placement, priority=priority
+        )
+        result = run_dag_caqr(platform8, config, record_messages=True)
+        assert event_hash(result.simulation) == expected
+
+    def test_recovery_run(self, platform4_single_site):
+        cfg, schedule, digest, accounting = RECOVERY_RUNS["cholesky"]
+        res = run_dag_factorization(
+            platform4_single_site, cfg, failures=schedule, record_messages=True
+        )
+        assert event_hash(res.simulation) == digest
+        recovery = res.recovery
+        assert (recovery.rounds, recovery.tasks_reexecuted,
+                recovery.tasks_executed) == accounting
 
 
 class TestRepeatedRunsShareNoState:

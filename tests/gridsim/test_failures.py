@@ -45,6 +45,41 @@ def _two_allreduces(ctx):
     return (yield from ctx.comm.allreduce(1.0))
 
 
+#: Polls per polling step of ``_polling``.
+N_POLLS = 3
+
+
+def _probe_polls(comm):
+    for _ in range(N_POLLS):
+        comm.probe(source=0)
+
+
+#: Two ways to charge ``N_POLLS`` polls: that many probes, or one
+#: ``checkpoint`` call counting for all of them.
+POLLS = {
+    "probe": _probe_polls,
+    "checkpoint": lambda comm: comm.checkpoint(N_POLLS),
+}
+
+
+def _polling(poll):
+    """Rank 1 polls between compute charges; the others only compute.
+
+    Rank 1's failure checkpoints: its first compute charge, ``N_POLLS``
+    polls at the clock that charge reached, then two more charges.
+    """
+
+    def program(ctx):
+        ctx.compute(1e6)
+        if ctx.rank == 1:
+            poll(ctx.comm)
+        ctx.compute(1e6)
+        ctx.compute(1e6)
+        return ctx.clock()
+
+    return program
+
+
 class TestFailureSchedule:
     def test_needs_a_deadline(self):
         with pytest.raises(ConfigurationError, match="deadline"):
@@ -146,6 +181,55 @@ class TestRevokedCommunicators:
         assert shadowed.events == baseline.events
         assert shadowed.clocks == baseline.clocks
         assert shadowed.trace == baseline.trace
+
+
+class TestCheckpointAccounting:
+    """``checkpoint(n)`` is charged exactly like ``n`` probes."""
+
+    @pytest.mark.parametrize("after_events", range(N_POLLS + 5))
+    def test_checkpoint_dies_where_probes_die(self, platform4_single_site, after_events):
+        schedule = FailureSchedule([RankFailure(1, after_events=after_events)])
+        probed, charged = (
+            run_spmd(
+                platform4_single_site,
+                _polling(POLLS[poll]),
+                record_messages=True,
+                failures=schedule,
+            )
+            for poll in ("probe", "checkpoint")
+        )
+        assert event_hash(charged) == event_hash(probed)
+        assert charged.results == probed.results
+        assert charged.trace == probed.trace
+        # The sweep reaches every checkpoint: before any work, inside the
+        # polls, at each later charge, and past the last one.
+        died = after_events <= N_POLLS + 2
+        assert (probed.results[1] is None) == died
+        assert len(probed.trace.rank_failures) == int(died)
+
+    @pytest.mark.parametrize("poll", ["probe", "checkpoint"])
+    def test_revoked_poll_raises_after_one_checkpoint(self, platform4_single_site, poll):
+        """However many polls one call stands for, a revoked communicator
+        raises at the first, with exactly one checkpoint counted."""
+        schedule = FailureSchedule(
+            [RankFailure(0, at_time=0.0), RankFailure(1, after_events=100)]
+        )
+
+        def prog(ctx):
+            if ctx.rank != 1:
+                ctx.compute(1e6)  # rank 0 dies here, before rank 1 runs
+                return None
+            ctx.compute(1e6)
+            counts = ctx.state._failure_checkpoints
+            before = counts[1]
+            ctx.comm.checkpoint(0)  # zero polls check and count nothing
+            with pytest.raises(RankFailedError, match="revoked"):
+                POLLS[poll](ctx.comm)
+            return counts[1] - before
+
+        result = run_spmd(platform4_single_site, prog, failures=schedule)
+        assert result.results[1] == 1
+        assert result.trace.rank_failures == ((0, 0.0),)
 
 
 #: Golden failure runs under ``DETERMINISM_SCHEDULE`` on the 4-rank

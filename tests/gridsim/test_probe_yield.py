@@ -16,24 +16,38 @@ def platform():
 
 class TestProbe:
     def test_probe_reports_arrival_without_consuming(self, platform):
+        priced = {}
+
         def program(ctx):
             comm = ctx.comm
             if comm.rank == 0:
-                comm.send(b"x" * 1000, dest=1, tag="t")
+                priced["t"] = comm.send(b"x" * 1000, dest=1, tag="t")
+                # A self-message costs nothing: it arrives at the send clock.
+                ctx.compute(1e6)
+                now = ctx.clock()
+                assert now > 0.0
+                assert comm.send("me", dest=0, tag="self") == now
+                assert comm.probe(source=0, tag="self") == now
+                assert (yield from comm.recv(source=0, tag="self")) == "me"
+                assert ctx.clock() == now
                 return None
             # Rank 1 runs after rank 0 parked/finished; the message is queued.
             first = comm.probe(source=0, tag="t")
             second = comm.probe(source=0, tag="t")
             assert first is not None and first == second  # non-destructive
+            # The message is priced once: probe reports what send returned.
+            assert first == priced["t"]
             assert comm.probe(source=0, tag="other") is None
             before = ctx.clock()
+            assert before < first  # the receiver is behind the arrival
             payload = yield from comm.recv(source=0, tag="t")
             assert payload == b"x" * 1000
-            # recv advanced the clock exactly to the probed arrival time.
-            assert ctx.clock() == max(before, first)
+            # recv advanced the clock exactly to the priced arrival time.
+            assert ctx.clock() == first
             return first
 
-        run_spmd(platform, program, ranks=[0, 1])
+        result = run_spmd(platform, program, ranks=[0, 1])
+        assert result.results[1] == priced["t"] > 0.0
 
     def test_probe_validates_source(self, platform):
         def program(ctx):
