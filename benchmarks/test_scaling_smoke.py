@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import time
 
-from repro.dag import DAGCAQRConfig, DAGFactorizationConfig, run_dag_caqr, run_dag_factorization
+from repro.dag import DAGFactorizationConfig, run_dag_factorization
 from repro.gridsim import (
     ClusterSpec,
     GridSpec,
@@ -190,9 +190,9 @@ def test_engine_scaling_smoke(local_results_dir, bench_json):
     # cost (ready-queue + per-task yields + versioned stores) alongside the
     # SPMD path: ~25k tasks, events/s and simulated makespan recorded.
     dag_platform = _platform(512)
-    dag_config = DAGCAQRConfig(m=512 * 512, n=128, tile_size=64, priority="critical-path")
+    dag_config = DAGFactorizationConfig(m=512 * 512, n=128, tile_size=64, priority="critical-path")
     start = time.perf_counter()
-    dag_result = run_dag_caqr(dag_platform, dag_config)
+    dag_result = run_dag_factorization(dag_platform, dag_config)
     dag_wall = time.perf_counter() - start
     dag_events = dag_result.trace.total_events
     dag_row = {

@@ -25,9 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.dag import (
-    DAGCAQRConfig,
+    DAGFactorizationConfig,
     mean_idle_fraction,
-    run_dag_caqr,
+    run_dag_factorization,
     write_gantt_csv,
 )
 from repro.experiments.grid5000 import grid5000_platform
@@ -43,9 +43,9 @@ def main() -> None:
     m, n, tile = 240, 96, 16
     a = random_matrix(m, n, seed=11)
     spmd = run_parallel_caqr(platform, CAQRConfig(m=m, n=n, tile_size=tile, matrix=a))
-    dag = run_dag_caqr(
+    dag = run_dag_factorization(
         platform,
-        DAGCAQRConfig(m=m, n=n, tile_size=tile, priority="critical-path", matrix=a),
+        DAGFactorizationConfig(m=m, n=n, tile_size=tile, priority="critical-path", matrix=a),
     )
     # This example doubles as a CI smoke gate: fail loudly, don't just print.
     assert np.array_equal(dag.r, spmd.r), "DAG R is not bit-identical to SPMD R"
@@ -62,8 +62,8 @@ def main() -> None:
     print(f"virtual {m:,} x {n} factorization, tile {tile}:")
     print(f"  SPMD CAQR makespan           : {spmd.makespan_s:.4f} s")
     for priority in ("critical-path", "panel", "fifo"):
-        run = run_dag_caqr(
-            platform, DAGCAQRConfig(m=m, n=n, tile_size=tile, priority=priority)
+        run = run_dag_factorization(
+            platform, DAGFactorizationConfig(m=m, n=n, tile_size=tile, priority=priority)
         )
         idle = mean_idle_fraction(run.trace, run.makespan_s)
         print(
@@ -73,9 +73,9 @@ def main() -> None:
         )
 
     # ---- the schedule itself, exported for plotting
-    run = run_dag_caqr(
+    run = run_dag_factorization(
         platform,
-        DAGCAQRConfig(m=2**12, n=128, tile_size=64),
+        DAGFactorizationConfig(m=2**12, n=128, tile_size=64),
         record_schedule=True,
     )
     out = Path(tempfile.gettempdir()) / "dag_caqr_gantt.csv"

@@ -37,13 +37,11 @@ True
 """
 
 from repro.dag import (
-    DAGCAQRConfig,
+    DAGFactorizationConfig,
     DAGRunResult,
     TaskGraph,
-    run_dag_caqr,
-    run_dag_tsqr,
+    run_dag_factorization,
     tiled_qr_graph,
-    tsqr_graph,
 )
 from repro.exceptions import ReproError
 from repro.linalg import block_subspace_iteration, lstsq_tsqr, orthonormalize, randomized_svd
@@ -84,13 +82,11 @@ __all__ = [
     "caqr_program",
     "run_parallel_caqr",
     "run_program",
-    "DAGCAQRConfig",
+    "DAGFactorizationConfig",
     "DAGRunResult",
     "TaskGraph",
-    "run_dag_caqr",
-    "run_dag_tsqr",
+    "run_dag_factorization",
     "tiled_qr_graph",
-    "tsqr_graph",
     "run_parallel_tsqr",
     "tsqr",
     "tsqr_r",

@@ -34,7 +34,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.exceptions import ConfigurationError, ReproError
-from repro.dag.placement import PLACEMENT_POLICIES, PRIORITY_POLICIES
+from repro.dag.placement import (
+    DEFAULT_PLACEMENT,
+    DEFAULT_PRIORITY,
+    PLACEMENT_POLICIES,
+    PRIORITY_POLICIES,
+)
 from repro.experiments import (
     CAQR_SWEEP_N,
     DAG_CHOLESKY_SWEEP_N,
@@ -405,13 +410,13 @@ def _add_point_flags(parser: argparse.ArgumentParser) -> None:
         "--placement",
         choices=PLACEMENT_POLICIES,
         default=None,
-        help="tile placement policy of a DAG-runtime point (default: block)",
+        help=f"tile placement policy of a DAG-runtime point (default: {DEFAULT_PLACEMENT})",
     )
     parser.add_argument(
         "--priority",
         choices=PRIORITY_POLICIES,
         default=None,
-        help="ready-queue priority of a DAG-runtime point (default: critical-path)",
+        help=f"ready-queue priority of a DAG-runtime point (default: {DEFAULT_PRIORITY})",
     )
 
 
@@ -550,8 +555,8 @@ def _point_config_from_args(args: argparse.Namespace) -> dict[str, object]:
         if args.algorithm == "caqr":
             config["tree_kind"] = "binary"  # the CLI's panel-tree default
     if uses_dag:
-        config["placement"] = args.placement or "block"
-        config["priority"] = args.priority or "critical-path"
+        config["placement"] = args.placement or DEFAULT_PLACEMENT
+        config["priority"] = args.priority or DEFAULT_PRIORITY
     # Failure injection (the simulate command only; query has no such flags).
     fail_ranks = getattr(args, "fail_rank", None)
     fail_times = getattr(args, "fail_at", None)
@@ -735,7 +740,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     elif args.figure_id == "dag-caqr-sweep":
         kwargs = {"n": n}
         if args.rows is not None:
-            kwargs["m_values"] = (args.rows,)  # rejected by DAGCAQRConfig if invalid
+            kwargs["m_values"] = (args.rows,)  # rejected by DAGFactorizationConfig if invalid
         if args.tile_size is not None:
             kwargs["tile_size"] = args.tile_size
         if args.panel_tree is not None:
@@ -768,7 +773,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     elif args.figure_id == "trace-hotspots":
         kwargs = {"n": n}
         if args.rows is not None:
-            kwargs["m"] = args.rows  # rejected by DAGCAQRConfig if invalid
+            kwargs["m"] = args.rows  # rejected by DAGFactorizationConfig if invalid
         if args.tile_size is not None:
             kwargs["tile_size"] = args.tile_size
         if args.panel_tree is not None:

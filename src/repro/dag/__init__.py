@@ -8,12 +8,12 @@ algorithm registry"):
   (tiled QR, tiled Cholesky, tiled LU ship; new algorithms register here);
 * :mod:`repro.dag.graph` — tasks, tile handles and the automatic derivation
   of dependency edges from read/write sets, plus the generic
-  :func:`build_tiled_graph` builder and its :func:`tiled_qr_graph` /
-  :func:`tiled_cholesky_graph` / :func:`tiled_lu_graph` / :func:`tsqr_graph`
-  instances;
+  :func:`build_tiled_graph` builder, its :func:`tiled_qr_graph` instance
+  and the memoised :func:`cached_graph`;
 * :mod:`repro.dag.runtime` + :mod:`repro.dag.placement` — the SPMD
   ready-queue driver (eager sends, lazy receives) and the placement /
-  priority policies it composes;
+  priority policies it composes; :func:`run_dag_factorization` with a
+  :class:`DAGFactorizationConfig` runs any registered algorithm;
 * :mod:`repro.dag.analysis` — the exact critical-path lower bound, per-rank
   busy/comm/idle breakdowns and Gantt CSV export.
 """
@@ -35,13 +35,7 @@ from repro.dag.graph import (
     TaskGraph,
     build_tiled_graph,
     cached_graph,
-    clear_graph_cache,
-    graph_cache_info,
-    set_graph_cache_size,
-    tiled_cholesky_graph,
-    tiled_lu_graph,
     tiled_qr_graph,
-    tsqr_graph,
 )
 from repro.dag.kernels import (
     ALGORITHMS,
@@ -65,12 +59,9 @@ from repro.dag.recovery import (
     lost_version_closure,
 )
 from repro.dag.runtime import (
-    DAGCAQRConfig,
     DAGFactorizationConfig,
     DAGRunResult,
-    run_dag_caqr,
     run_dag_factorization,
-    run_dag_tsqr,
 )
 
 __all__ = [
@@ -88,13 +79,7 @@ __all__ = [
     "TaskGraph",
     "build_tiled_graph",
     "cached_graph",
-    "clear_graph_cache",
-    "graph_cache_info",
-    "set_graph_cache_size",
     "tiled_qr_graph",
-    "tiled_cholesky_graph",
-    "tiled_lu_graph",
-    "tsqr_graph",
     "ALGORITHMS",
     "AlgorithmSpec",
     "GraphStructure",
@@ -110,10 +95,7 @@ __all__ = [
     "RecoveryReport",
     "build_recovery_plan",
     "lost_version_closure",
-    "DAGCAQRConfig",
     "DAGFactorizationConfig",
     "DAGRunResult",
-    "run_dag_caqr",
     "run_dag_factorization",
-    "run_dag_tsqr",
 ]

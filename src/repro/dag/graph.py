@@ -22,47 +22,35 @@ This module is the graph half of that runtime:
 * :func:`tiled_qr_graph` is the QR instance — with an elimination structure
   *identical* to the one the SPMD CAQR program executes (per-group flat
   chains, then a configurable cross-group tree), so a real-payload DAG
-  execution reproduces the SPMD R factor **bit for bit**;
-* :func:`tiled_cholesky_graph` / :func:`tiled_lu_graph` instantiate the
-  tiled Cholesky and unpivoted-LU loop nests;
-* :func:`tsqr_graph` emits the reduction-tree DAG of plain TSQR.
+  execution reproduces the SPMD R factor **bit for bit**.  With one tile
+  row per group and a single panel column it *is* the TSQR reduction tree:
+  one ``geqrt`` leaf per group, one ``tsqrt`` combine per tree edge;
+* :func:`cached_graph` memoises the builder per algorithm and shape.
 
 Handles are hashable keys: ``("A", i, j)`` is matrix tile ``(i, j)``,
-``("F", k, i)`` the reflector block of ``geqrt`` on tile ``(i, k)``,
-``("S", k, i_top, i_bot)`` the reflector block of a ``tsqrt`` combine, and
-``("R", d)`` / ``("A", d)`` the TSQR per-domain factors.  Every handle knows
-its shape and its *wire size* (triangular factors travel as the paper's
-``N^2/2``-style half triangles), so virtual and real executions charge
-byte-identical communication.
+``("F", k, i)`` the reflector block of ``geqrt`` on tile ``(i, k)`` and
+``("S", k, i_top, i_bot)`` the reflector block of a ``tsqrt`` combine.
+Every handle knows its shape and its *wire size* (triangular factors travel
+as the paper's ``N^2/2``-style half triangles), so virtual and real
+executions charge byte-identical communication.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from typing import Hashable, Sequence
 
 from repro.dag.kernels import KERNELS, GraphStructure, algorithm_spec
-from repro.exceptions import ConfigurationError, TreeError
-from repro.tsqr.trees import tree_for
-from repro.util.partition import TileGrid, block_ranges
-from repro.util.shapes import trapezoid_doubles
+from repro.exceptions import ConfigurationError
+from repro.util.partition import TileGrid
 from repro.util.units import DOUBLE_BYTES
-from repro.virtual.flops import qr_flops, stacked_triangle_qr_flops
 
 __all__ = [
     "Task",
     "TaskGraph",
     "build_tiled_graph",
     "tiled_qr_graph",
-    "tiled_cholesky_graph",
-    "tiled_lu_graph",
-    "tsqr_graph",
     "cached_graph",
-    "cached_tiled_qr_graph",
-    "clear_graph_cache",
-    "graph_cache_info",
-    "set_graph_cache_size",
 ]
 
 
@@ -73,8 +61,8 @@ class Task:
     read, the task that produced the value (``-1`` for an initial input).
     ``kernel_class``/``width`` are what the kernel-rate model charges
     (``qr_leaf``/``qr_combine`` with the panel width, exactly like the SPMD
-    programs), ``host_row`` the tile row (or TSQR domain) hosting the
-    compute under the row-based placement policies.
+    programs), ``host_row`` the tile row hosting the compute under the
+    row-based placement policies.
     """
 
     __slots__ = (
@@ -155,7 +143,6 @@ class TaskGraph:
         #: Builder metadata consumed by placement and the runtime.
         self.grid: TileGrid | None = None
         self.n_groups: int = 1
-        self.domain_ranges: tuple[tuple[int, int], ...] = ()
 
     # -------------------------------------------------------------- handles
     def handle(self, key: Hashable, shape: tuple[int, int], nbytes: int | None = None) -> int:
@@ -351,7 +338,7 @@ def build_tiled_graph(
 
 
 # ---------------------------------------------------------------------------
-# Algorithm instances
+# The QR instance
 # ---------------------------------------------------------------------------
 
 def tiled_qr_graph(
@@ -395,118 +382,13 @@ def tiled_qr_graph(
     )
 
 
-def tiled_cholesky_graph(n: int, tile_size: int) -> TaskGraph:
-    """The tiled-Cholesky DAG of an ``N x N`` SPD matrix (potrf/trsm/syrk/gemm).
-
-    Lower-triangular convention (``A = L L^T``); the classical right-looking
-    tile loop nest, so the DAG executes the exact kernel sequence of the
-    sequential blocked algorithm on every tile.
-    """
-    return build_tiled_graph("cholesky", n, n, tile_size)
-
-
-def tiled_lu_graph(m: int, n: int, tile_size: int) -> TaskGraph:
-    """The tiled-LU DAG of an ``M x N`` matrix, right-looking, no pivoting
-    (getrf/trsm_row/trsm_col/gemm_nn); for diagonally dominant matrices,
-    where skipping partial pivoting is numerically safe."""
-    return build_tiled_graph("lu", m, n, tile_size)
-
-
-def tsqr_graph(
-    m: int,
-    n: int,
-    n_domains: int,
-    *,
-    tree_kind: str = "binary",
-    domain_clusters: Sequence[str] | None = None,
-) -> TaskGraph:
-    """The TSQR reduction-tree DAG: one leaf QR per domain, one combine per edge.
-
-    Leaves factor a domain's block row into its ``R`` handle (wire size: the
-    paper's ``N^2/2`` half triangle); combines reduce a child triangle into
-    its parent along the requested tree.
-    """
-    if m <= 0 or n <= 0:
-        raise ConfigurationError(f"matrix dimensions must be positive, got {m} x {n}")
-    if n_domains <= 0:
-        raise ConfigurationError(f"domain count must be positive, got {n_domains}")
-    ranges = block_ranges(m, n_domains)
-    if min(r1 - r0 for r0, r1 in ranges) < n:
-        raise ConfigurationError(
-            f"every domain needs at least n={n} rows for a full R factor; "
-            f"use fewer than {n_domains} domains"
-        )
-    graph = TaskGraph(kind="tsqr")
-    graph.n_groups = n_domains
-    graph.domain_ranges = tuple(ranges)
-    tri_nbytes = trapezoid_doubles(n, n) * DOUBLE_BYTES
-    r_of = []
-    for d, (r0, r1) in enumerate(ranges):
-        a = graph.handle(("A", d), (r1 - r0, n))
-        r = graph.handle(("R", d), (n, n), nbytes=tri_nbytes)
-        r_of.append(r)
-        graph.add_task(
-            "tsqr_leaf",
-            reads=(a,),
-            writes=(r,),
-            flops=qr_flops(r1 - r0, n),
-            width=n,
-            kernel_class="qr_leaf",
-            host_row=d,
-            i=d,
-        )
-    tree = tree_for(tree_kind, n_domains, domain_clusters)
-
-    def _emit(pos: int) -> None:
-        for child in tree.children(pos):
-            _emit(child)
-            graph.add_task(
-                "tsqr_combine",
-                reads=(r_of[pos], r_of[child]),
-                writes=(r_of[pos],),
-                flops=stacked_triangle_qr_flops(n),
-                width=n,
-                kernel_class="qr_combine",
-                host_row=pos,
-                i=pos,
-                i2=child,
-            )
-
-    _emit(tree.root)
-    if tree.root != 0:
-        raise TreeError("TSQR reduction must be rooted at domain 0")
-    return graph
-
-
 # ---------------------------------------------------------------------------
 # The graph cache
 # ---------------------------------------------------------------------------
 
-#: Default capacity of the graph cache.  A best-config sweep touches one
-#: graph per (algorithm, shape, tile) candidate, so the old capacity of 8
-#: thrashed as soon as a sweep crossed two tile sizes x a few M values.
-_DEFAULT_GRAPH_CACHE_SIZE = 32
 
-
-def _initial_graph_cache_size() -> int:
-    """Capacity at import: ``$REPRO_GRAPH_CACHE_SIZE`` or the default."""
-    raw = os.environ.get("REPRO_GRAPH_CACHE_SIZE")
-    if raw is None:
-        return _DEFAULT_GRAPH_CACHE_SIZE
-    try:
-        size = int(raw)
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"REPRO_GRAPH_CACHE_SIZE must be an integer, got {raw!r}"
-        ) from exc
-    if size < 0:
-        raise ConfigurationError(
-            f"REPRO_GRAPH_CACHE_SIZE must be >= 0, got {size}"
-        )
-    return size
-
-
-def _build_graph(
+@lru_cache(maxsize=32)
+def cached_graph(
     algorithm: str,
     m: int,
     n: int,
@@ -515,6 +397,23 @@ def _build_graph(
     panel_tree: str = "binary",
     group_clusters: tuple[str, ...] | None = None,
 ) -> TaskGraph:
+    """Memoised :func:`build_tiled_graph` (paper-scale graphs take seconds).
+
+    The cache key is the algorithm name plus **every** shape parameter, so
+    two algorithms (or two elimination structures) can never collide on a
+    cache entry.  The returned graph is shared: callers must treat it as
+    immutable — the runtime's placement/priority memos key on the graph
+    object's identity, which is exactly what the sharing preserves.  Like
+    any ``lru_cache``, it keys positional and keyword arguments apart, so
+    callers that must share one graph (the runtime and the cost model) pass
+    every argument positionally.
+
+    The capacity is 32: a best-config sweep touches one graph per
+    (algorithm, shape, tile) candidate, and 8 thrashed as soon as a sweep
+    crossed two tile sizes x a few M values.  Eviction is safe: a rebuilt
+    graph is structurally identical to the evicted one, merely a new object
+    (the runtime's identity-keyed memos then miss once and recompute).
+    """
     if algorithm == "qr":
         # Through the QR wrapper so its n_groups validation applies.
         return tiled_qr_graph(
@@ -535,67 +434,4 @@ def _build_graph(
             panel_tree=panel_tree,
             group_clusters=group_clusters,
         ),
-    )
-
-
-_cached_build = lru_cache(maxsize=_initial_graph_cache_size())(_build_graph)
-
-
-def cached_graph(
-    algorithm: str,
-    m: int,
-    n: int,
-    tile_size: int,
-    n_groups: int = 1,
-    panel_tree: str = "binary",
-    group_clusters: tuple[str, ...] | None = None,
-) -> TaskGraph:
-    """Memoised :func:`build_tiled_graph` (paper-scale graphs take seconds).
-
-    The cache key is the algorithm name plus **every** shape parameter, so
-    two algorithms (or two elimination structures) can never collide on a
-    cache entry.  The returned graph is shared: callers must treat it as
-    immutable — the runtime's placement/priority memos key on the graph
-    object's identity, which is exactly what the sharing preserves.
-
-    The capacity is ``$REPRO_GRAPH_CACHE_SIZE`` (default
-    ``_DEFAULT_GRAPH_CACHE_SIZE``) and can be resized at runtime with
-    :func:`set_graph_cache_size`.  Eviction is safe: a rebuilt graph is
-    structurally identical to the evicted one, merely a new object (the
-    runtime's identity-keyed memos then miss once and recompute).
-    """
-    return _cached_build(
-        algorithm, m, n, tile_size, n_groups, panel_tree, group_clusters
-    )
-
-
-def set_graph_cache_size(maxsize: int) -> None:
-    """Resize the graph cache (drops every currently cached graph)."""
-    global _cached_build
-    if maxsize < 0:
-        raise ConfigurationError(f"graph cache size must be >= 0, got {maxsize}")
-    _cached_build = lru_cache(maxsize=maxsize)(_build_graph)
-
-
-def graph_cache_info():
-    """``functools.lru_cache`` statistics of the graph cache."""
-    return _cached_build.cache_info()
-
-
-def clear_graph_cache() -> None:
-    """Drop every cached graph (the capacity is kept)."""
-    _cached_build.cache_clear()
-
-
-def cached_tiled_qr_graph(
-    m: int,
-    n: int,
-    tile_size: int,
-    n_groups: int,
-    panel_tree: str,
-    group_clusters: tuple[str, ...] | None,
-) -> TaskGraph:
-    """Memoised :func:`tiled_qr_graph` (the QR entry of :func:`cached_graph`)."""
-    return cached_graph(
-        "qr", m, n, tile_size, n_groups, panel_tree, group_clusters
     )

@@ -18,9 +18,12 @@ lives here, in two declarative tables:
 Three algorithms ship: tiled QR (``geqrt``/``unmqr``/``tsqrt``/``tsmqr``
 with the SPMD CAQR elimination structure), tiled Cholesky
 (``potrf``/``trsm``/``syrk``/``gemm``) and tiled right-looking LU without
-pivoting (``getrf``/``trsm_row``/``trsm_col``/``gemm_nn``).  Adding a fourth
-is a matter of registering its kernels and loop nest — see
-``docs/architecture.md`` ("The algorithm registry").
+pivoting (``getrf``/``trsm_row``/``trsm_col``/``gemm_nn``).  The paper's
+TSQR needs no kernels of its own: a tiled QR with a single panel column and
+one tile row per group is its reduction tree.  Every kernel has a plan, so
+the tiled builder emits them all.  Adding a fourth algorithm is a matter of
+registering its kernels and loop nest — see ``docs/architecture.md`` ("The
+algorithm registry").
 
 Dependency edges are *not* declared here: the graph layer derives
 RAW/WAR/WAW edges from the read/write sets.  One invariant every kernel in
@@ -59,7 +62,6 @@ from repro.virtual.flops import (
     tsqrt_flops,
     unmqr_flops,
 )
-from repro.virtual.matrix import VirtualMatrix
 
 __all__ = [
     "ALGORITHMS",
@@ -108,9 +110,8 @@ class TaskPlan:
 class KernelSpec:
     """Everything the generic layers need to know about one tile kernel.
 
-    ``plan`` maps ``(grid, k, i, i2, j)`` to the task's :class:`TaskPlan`
-    (``None`` for kernels not emitted by the tiled builder, e.g. the TSQR
-    reduction kernels); ``execute`` runs the kernel on its input values (in
+    ``plan`` maps ``(grid, k, i, i2, j)`` to the task's :class:`TaskPlan`;
+    ``execute`` runs the kernel on its input values (in
     ``plan.reads`` order) and returns the written values (in ``plan.writes``
     order), real or virtual.  ``panel`` marks panel-factorization kernels
     for the panel priority policy.
@@ -119,7 +120,7 @@ class KernelSpec:
     name: str
     kernel_class: str
     panel: bool
-    plan: Callable[[TileGrid, int, int, int, int], TaskPlan] | None
+    plan: Callable[[TileGrid, int, int, int, int], TaskPlan]
     execute: Callable[[object, list, object], list]
 
 
@@ -247,21 +248,6 @@ def _exec_tsmqr(task, inputs: list, spec) -> list:
     ts, c_top, c_bottom = inputs
     new_top, new_bottom = tsmqr(ts, c_top, c_bottom, transpose=True)
     return [new_top, new_bottom]
-
-
-def _exec_tsqr_leaf(task, inputs: list, spec) -> list:
-    (a,) = inputs
-    if isinstance(a, VirtualMatrix):
-        return [VirtualMatrix(min(a.m, a.n), a.n, structure="upper")]
-    return [np.linalg.qr(np.asarray(a), mode="r")]
-
-
-def _exec_tsqr_combine(task, inputs: list, spec) -> list:
-    r_top, r_bottom = inputs
-    if isinstance(r_top, VirtualMatrix) or isinstance(r_bottom, VirtualMatrix):
-        return [VirtualMatrix(r_top.shape[0], r_top.shape[1], structure="upper")]
-    stacked = np.vstack([np.asarray(r_top), np.asarray(r_bottom)])
-    return [np.linalg.qr(stacked, mode="r")]
 
 
 def _qr_combine_tasks(k: int, i_top: int, i_bot: int, trailing) -> Iterator[tuple]:
@@ -523,9 +509,6 @@ KERNELS: dict[str, KernelSpec] = {
         KernelSpec("unmqr", "qr_leaf", False, _plan_unmqr, _exec_unmqr),
         KernelSpec("tsqrt", "qr_combine", True, _plan_tsqrt, _exec_tsqrt),
         KernelSpec("tsmqr", "qr_combine", False, _plan_tsmqr, _exec_tsmqr),
-        # TSQR reduction tree (built by tsqr_graph, not the tiled builder).
-        KernelSpec("tsqr_leaf", "qr_leaf", True, None, _exec_tsqr_leaf),
-        KernelSpec("tsqr_combine", "qr_combine", True, None, _exec_tsqr_combine),
         # Tiled Cholesky.
         KernelSpec("potrf", "qr_leaf", True, _plan_potrf, _exec_potrf),
         KernelSpec("trsm", "update", True, _plan_chol_trsm, _exec_chol_trsm),

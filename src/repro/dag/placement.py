@@ -38,6 +38,8 @@ from repro.gridsim.kernelmodel import KernelRateModel
 from repro.util.partition import block_ranges
 
 __all__ = [
+    "DEFAULT_PLACEMENT",
+    "DEFAULT_PRIORITY",
     "PLACEMENT_POLICIES",
     "PRIORITY_POLICIES",
     "TaskPlacement",
@@ -47,6 +49,12 @@ __all__ = [
 
 PLACEMENT_POLICIES = ("block", "block-cyclic", "owner-computes")
 PRIORITY_POLICIES = ("critical-path", "panel", "fifo")
+
+#: The policies a DAG run uses when none is named.  The runner, the CLI and
+#: the service's cache keys all read these, so a key never names one
+#: schedule while the runner simulates another.
+DEFAULT_PLACEMENT = "block"
+DEFAULT_PRIORITY = "critical-path"
 
 #: Kernels that advance a panel factorization (preferred by ``panel``),
 #: straight from the registry's per-kernel ``panel`` flags — a newly
@@ -77,7 +85,7 @@ def place_tasks(graph: TaskGraph, policy: str, n_ranks: int) -> TaskPlacement:
         raise ConfigurationError(
             f"unknown placement policy {policy!r}; choose from {PLACEMENT_POLICIES}"
         )
-    mt = graph.grid.mt if graph.grid is not None else graph.n_groups
+    mt = graph.grid.mt
 
     if policy == "block":
         owner_ranges = block_ranges(mt, n_ranks)
@@ -95,15 +103,10 @@ def place_tasks(graph: TaskGraph, policy: str, n_ranks: int) -> TaskPlacement:
             return (i + j) % n_ranks
         return row_owner[i]
 
-    initial_owner = []
-    for key, _shape in zip(graph.handle_keys, graph.handle_shapes):
-        if isinstance(key, tuple) and key and key[0] == "A":
-            if len(key) == 3:  # tiled-QR: ("A", i, j)
-                initial_owner.append(tile_owner(key[1], key[2]))
-            else:  # TSQR: ("A", d)
-                initial_owner.append(row_owner[key[1]])
-        else:
-            initial_owner.append(-1)
+    initial_owner = [
+        tile_owner(key[1], key[2]) if key[0] == "A" else -1
+        for key in graph.handle_keys
+    ]
 
     task_rank = []
     for task in graph.tasks:
@@ -112,7 +115,7 @@ def place_tasks(graph: TaskGraph, policy: str, n_ranks: int) -> TaskPlacement:
             for h in task.writes:
                 key = graph.handle_keys[h]
                 if key[0] == "A":
-                    rank = tile_owner(key[1], key[2]) if len(key) == 3 else row_owner[key[1]]
+                    rank = tile_owner(key[1], key[2])
                     break
             if rank is None:
                 rank = row_owner[task.host_row]

@@ -29,11 +29,13 @@ Values are stored **per version** — keyed by ``(producer task, handle)`` —
 so a rank can hold a tile's old value for a straggling reader while a newer
 version already arrived for a later task, whatever the placement policy.
 
-``run_dag_caqr`` is the CAQR entry point (DAG counterpart of
-:func:`repro.programs.caqr.run_parallel_caqr`; same kernels, same elimination
-structure, bit-identical R in real mode); ``run_dag_tsqr`` runs the plain
-TSQR reduction graph, demonstrating that the engine executes any dataflow
-program, not one hard-wired algorithm.
+:func:`run_dag_factorization` is the one entry point, for every algorithm
+of the registry; a :class:`DAGFactorizationConfig` names the algorithm
+(``qr`` by default).  For QR it is the DAG counterpart of
+:func:`repro.programs.caqr.run_parallel_caqr`: same kernels, same
+elimination structure, bit-identical R in real mode.  A single-panel QR
+(``tile_size = ceil(m / p)``, ``n <= tile_size``) runs the paper's TSQR
+reduction tree.
 """
 
 from __future__ import annotations
@@ -50,9 +52,11 @@ from repro.dag.analysis import (
     critical_path,
     iter_messages,
 )
-from repro.dag.graph import TaskGraph, cached_graph, tsqr_graph
+from repro.dag.graph import TaskGraph, cached_graph
 from repro.dag.kernels import AlgorithmSpec, algorithm_spec, execute_kernel
 from repro.dag.placement import (
+    DEFAULT_PLACEMENT,
+    DEFAULT_PRIORITY,
     PLACEMENT_POLICIES,
     PRIORITY_POLICIES,
     TaskPlacement,
@@ -69,16 +73,12 @@ from repro.gridsim.platform import Platform
 from repro.gridsim.trace import TraceSummary
 from repro.programs.caqr import PANEL_TREE_KINDS
 from repro.programs.spmd import run_program
-from repro.virtual.flops import qr_flops
 from repro.virtual.matrix import VirtualMatrix
 
 __all__ = [
-    "DAGCAQRConfig",
     "DAGFactorizationConfig",
     "DAGRunResult",
-    "run_dag_caqr",
     "run_dag_factorization",
-    "run_dag_tsqr",
 ]
 
 
@@ -103,8 +103,8 @@ class DAGFactorizationConfig:
     n: int
     tile_size: int = 64
     panel_tree: str = "binary"
-    placement: str = "block"
-    priority: str = "critical-path"
+    placement: str = DEFAULT_PLACEMENT
+    priority: str = DEFAULT_PRIORITY
     nb: int = 32
     matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
     algorithm: str = "qr"
@@ -154,19 +154,6 @@ class DAGFactorizationConfig:
     def flop_count(self) -> float:
         """Useful flops credited to the run (the Gflop/s denominator)."""
         return algorithm_spec(self.algorithm).total_flops(self.m, self.n)
-
-
-@dataclass(frozen=True)
-class DAGCAQRConfig(DAGFactorizationConfig):
-    """Configuration of one DAG-CAQR run (``algorithm="qr"`` fixed)."""
-
-    def __post_init__(self) -> None:
-        if self.algorithm != "qr":
-            raise ConfigurationError(
-                f"DAGCAQRConfig is the QR entry point, got algorithm={self.algorithm!r}; "
-                "use DAGFactorizationConfig for other algorithms"
-            )
-        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -330,7 +317,7 @@ def _critical_path_for(graph: TaskGraph, kernel_model: KernelRateModel) -> Criti
 
 
 # ---------------------------------------------------------------------------
-# Task execution (kernel dispatch, real or virtual payloads)
+# Initial tile values (real or virtual payloads)
 # ---------------------------------------------------------------------------
 
 def _initial_value(graph: TaskGraph, h: int, spec: _ExecSpec):
@@ -338,27 +325,10 @@ def _initial_value(graph: TaskGraph, h: int, spec: _ExecSpec):
     shape = graph.handle_shapes[h]
     if spec.virtual:
         return VirtualMatrix(shape[0], shape[1])
-    key = graph.handle_keys[h]
-    if graph.grid is not None and len(key) == 3:
-        _, i, j = key
-        r0, r1 = graph.grid.row_ranges[i]
-        c0, c1 = graph.grid.col_ranges[j]
-        return np.array(spec.matrix[r0:r1, c0:c1], dtype=np.float64, copy=True)
-    # TSQR domain block row: ("A", d).
-    r0, r1 = graph.domain_ranges[key[1]]
-    return np.array(spec.matrix[r0:r1, :], dtype=np.float64, copy=True)
-
-
-def _execute_task(task, inputs: list, spec: _ExecSpec) -> list:
-    """Run one kernel on its input values and return the written values.
-
-    A thin alias of the registry dispatch
-    (:func:`repro.dag.kernels.execute_kernel`): read/write orderings follow
-    the registry's kernel plans, and the arithmetic is byte-for-byte the
-    SPMD programs' (same kernels, same padding helpers), which is what
-    makes the real-mode factors bit-identical.
-    """
-    return execute_kernel(task, inputs, spec)
+    _, i, j = graph.handle_keys[h]
+    r0, r1 = graph.grid.row_ranges[i]
+    c0, c1 = graph.grid.col_ranges[j]
+    return np.array(spec.matrix[r0:r1, c0:c1], dtype=np.float64, copy=True)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +472,7 @@ def dag_program(
             for h, prod in zip(task.reads, task.read_producers)
         ]
         start = ctx.clock()
-        outputs = _execute_task(task, inputs, spec)
+        outputs = execute_kernel(task, inputs, spec)
         ctx.compute(task.flops, kernel=task.kernel_class, n=task.width)
         for h, prod in zip(task.reads, task.read_producers):
             _consume((prod + 1) * H + h)
@@ -670,7 +640,7 @@ def _recovery_round(
             store[(prod + 1) * H + h]
             for h, prod in zip(task.reads, task.read_producers)
         ]
-        outputs = _execute_task(task, inputs, spec)
+        outputs = execute_kernel(task, inputs, spec)
         ctx.compute(task.flops, kernel=task.kernel_class, n=task.width)
         base = (tid + 1) * H
         for h, value in zip(task.writes, outputs):
@@ -700,7 +670,7 @@ class DAGRunResult:
     """Harness-level outcome of one DAG run.
 
     ``r`` is the assembled factor of a real-payload run (upper-triangular
-    ``R`` for QR/TSQR, lower-triangular ``L`` for Cholesky, the packed
+    ``R`` for QR, lower-triangular ``L`` for Cholesky, the packed
     ``L\\U`` for LU; ``None`` in virtual mode).  ``recovery`` is the
     fault-tolerance accounting of a run with an injected failure schedule
     (``None`` on ordinary runs, and also when the schedule never fired).
@@ -854,90 +824,4 @@ def run_dag_factorization(
         simulation=run.simulation,
         config=config,
         recovery=recovery,
-    )
-
-
-def run_dag_caqr(
-    platform: Platform,
-    config: DAGCAQRConfig,
-    *,
-    record_messages: bool = False,
-    record_schedule: bool = False,
-    failures: FailureSchedule | None = None,
-    baseline_makespan_s: float | None = None,
-) -> DAGRunResult:
-    """Run DAG-CAQR on ``platform`` and summarise its performance.
-
-    The QR entry of :func:`run_dag_factorization`.  Real payloads return
-    the global R factor — bit-identical to the SPMD CAQR program's (and
-    therefore matching ``numpy.linalg.qr`` at machine precision) for
-    *every* placement and priority policy; virtual payloads return
-    ``r=None`` and the trace/critical-path summary only.
-    """
-    if config.algorithm != "qr":
-        raise ConfigurationError(
-            f"run_dag_caqr is the QR entry point, got algorithm={config.algorithm!r}"
-        )
-    return run_dag_factorization(
-        platform,
-        config,
-        record_messages=record_messages,
-        record_schedule=record_schedule,
-        failures=failures,
-        baseline_makespan_s=baseline_makespan_s,
-    )
-
-
-def run_dag_tsqr(
-    platform: Platform,
-    m: int,
-    n: int,
-    *,
-    tree_kind: str = "binary",
-    matrix: np.ndarray | None = None,
-    priority: str = "fifo",
-    record_messages: bool = False,
-    record_schedule: bool = False,
-) -> DAGRunResult:
-    """Run the TSQR reduction-tree DAG with one domain per platform rank.
-
-    A deliberately small second workload proving the runtime is generic: the
-    same ready loop executes the TSQR graph without any TSQR-specific code.
-    Real payloads return the ``n x n`` R factor (sign-normalised agreement
-    with LAPACK is asserted by the tests); virtual payloads cost it.
-    """
-    p = platform.n_processes
-    clusters = tuple(platform.placement.cluster_of(r) for r in range(p))
-    graph = tsqr_graph(m, n, p, tree_kind=tree_kind, domain_clusters=clusters)
-    placement, plan = _plan_for(graph, "block", p)
-    order = _order_for(graph, priority, platform.kernel_model)
-    root_r = graph.handle_id(("R", 0))
-    collect = plan.collect_by_rank([root_r] if matrix is not None else [])
-    spec = _ExecSpec(matrix=matrix, inner_b=32, record_schedule=record_schedule)
-    run = run_program(
-        platform,
-        dag_program,
-        graph,
-        plan,
-        order,
-        spec,
-        collect,
-        flop_count=qr_flops(m, n),
-        record_messages=record_messages,
-    )
-    r = None
-    if matrix is not None:
-        for tiles, _sched in run.results:
-            if root_r in tiles:
-                r = np.triu(np.asarray(tiles[root_r])[:n, :])
-    return DAGRunResult(
-        r=r,
-        makespan_s=run.makespan_s,
-        gflops=run.gflops,
-        trace=run.trace,
-        critical_path=critical_path(graph, platform.kernel_model),
-        graph=graph,
-        placement=placement,
-        schedule=_merge_schedules(run.results) if record_schedule else None,
-        simulation=run.simulation,
     )

@@ -28,13 +28,13 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 if TYPE_CHECKING:  # service imports the runner; the reverse stays lazy
     from repro.service.cache import ResultCache
 
-from repro.dag.placement import PLACEMENT_POLICIES, PRIORITY_POLICIES
-from repro.dag.runtime import (
-    DAGCAQRConfig,
-    DAGFactorizationConfig,
-    run_dag_caqr,
-    run_dag_factorization,
+from repro.dag.placement import (
+    DEFAULT_PLACEMENT,
+    DEFAULT_PRIORITY,
+    PLACEMENT_POLICIES,
+    PRIORITY_POLICIES,
 )
+from repro.dag.runtime import DAGFactorizationConfig, run_dag_factorization
 from repro.exceptions import ConfigurationError
 from repro.experiments.grid5000 import Grid5000Settings, grid5000_platform
 from repro.gridsim.failures import FailureSchedule
@@ -290,38 +290,19 @@ class ExperimentRunner:
             point = ExperimentPoint(
                 spec=spec, gflops=result.gflops, time_s=result.makespan_s, trace=result.trace
             )
-        elif spec.algorithm in PointSpec._DAG_ONLY:
+        elif spec.runtime == "dag":
+            algorithm = "qr" if spec.algorithm == "caqr" else spec.algorithm
             dag_result = run_dag_factorization(
                 platform,
                 DAGFactorizationConfig(
                     m=spec.m,
                     n=spec.n,
                     tile_size=spec.tile_size,
-                    placement=spec.placement or "block",
-                    priority=spec.priority or "critical-path",
-                    algorithm=spec.algorithm,
-                ),
-                failures=self._failure_schedule(spec),
-                baseline_makespan_s=self._baseline_makespan(spec),
-            )
-            point = ExperimentPoint(
-                spec=spec,
-                gflops=dag_result.gflops,
-                time_s=dag_result.makespan_s,
-                trace=dag_result.trace,
-                critical_path_s=dag_result.critical_path_s,
-                recovery=dag_result.recovery.as_dict() if dag_result.recovery else None,
-            )
-        elif spec.algorithm == "caqr" and spec.runtime == "dag":
-            dag_result = run_dag_caqr(
-                platform,
-                DAGCAQRConfig(
-                    m=spec.m,
-                    n=spec.n,
-                    tile_size=spec.tile_size,
-                    panel_tree=spec.tree_kind,
-                    placement=spec.placement or "block",
-                    priority=spec.priority or "critical-path",
+                    # Only QR reduces a panel; Cholesky/LU keep the default.
+                    panel_tree=spec.tree_kind if algorithm == "qr" else "binary",
+                    placement=spec.placement or DEFAULT_PLACEMENT,
+                    priority=spec.priority or DEFAULT_PRIORITY,
+                    algorithm=algorithm,
                 ),
                 failures=self._failure_schedule(spec),
                 baseline_makespan_s=self._baseline_makespan(spec),

@@ -257,12 +257,14 @@ def dag_caqr_costs(
     # Imported here, not at module level: repro.dag builds on the kernels and
     # partition layers this module also serves, and the model must stay
     # importable without pulling the whole runtime in.
-    from repro.dag.graph import cached_tiled_qr_graph
+    from repro.dag.graph import cached_graph
 
     cluster_names = tuple(clusters) if clusters is not None else tuple(["local"] * p)
     if len(cluster_names) != p:
         raise ConfigurationError(f"{len(cluster_names)} cluster names for {p} ranks")
-    graph = cached_tiled_qr_graph(m, n, tile_size, p, panel_tree, cluster_names)
+    # Positional, exactly like the runtime's call: the cache keys keyword
+    # arguments apart, and the model and the runtime share one graph object.
+    graph = cached_graph("qr", m, n, tile_size, p, panel_tree, cluster_names)
     return _graph_costs("DAG-CAQR", graph, m, n, p, placement)
 
 

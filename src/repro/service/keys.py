@@ -29,8 +29,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict
+from functools import lru_cache
 from typing import Mapping
 
+from repro.dag.placement import DEFAULT_PLACEMENT, DEFAULT_PRIORITY
 from repro.exceptions import ConfigurationError
 from repro.experiments.grid5000 import Grid5000Settings
 from repro.experiments.runner import PointSpec
@@ -49,11 +51,6 @@ __all__ = [
 #: accounting changes): every result stored under the old tag then stops
 #: matching and is re-simulated on next request.
 ENGINE_SEMANTICS_VERSION = "pr10-streaming-obs.1"
-
-#: Effective policy defaults the runner applies to DAG points (run_point
-#: passes these when the spec leaves the fields as None).
-_DAG_PLACEMENT_DEFAULT = "block"
-_DAG_PRIORITY_DEFAULT = "critical-path"
 
 #: PointSpec field names accepted in a query config, plus CLI-style aliases.
 _FIELD_ALIASES = {
@@ -107,8 +104,8 @@ def canonical_spec(spec: PointSpec) -> PointSpec:
     """
     fields = {f: getattr(spec, f) for f in _SPEC_FIELDS}
     if spec.runtime == "dag":
-        fields["placement"] = spec.placement or _DAG_PLACEMENT_DEFAULT
-        fields["priority"] = spec.priority or _DAG_PRIORITY_DEFAULT
+        fields["placement"] = spec.placement or DEFAULT_PLACEMENT
+        fields["priority"] = spec.priority or DEFAULT_PRIORITY
     if spec.algorithm != "tsqr":
         fields["domains_per_cluster"] = None  # only TSQR groups domains
     if spec.algorithm == "scalapack":
@@ -116,6 +113,17 @@ def canonical_spec(spec: PointSpec) -> PointSpec:
     if spec.algorithm in PointSpec._DAG_ONLY:
         fields["tree_kind"] = "grid-hierarchical"  # no panel reduction tree
     return PointSpec(**fields)
+
+
+def _config(spec: PointSpec | Mapping[str, object], platform: dict) -> dict[str, object]:
+    """The canonical spec fields plus ``platform`` and the version tag."""
+    if not isinstance(spec, PointSpec):
+        spec = spec_from_config(spec)
+    spec = canonical_spec(spec)
+    config: dict[str, object] = {f: getattr(spec, f) for f in _SPEC_FIELDS}
+    config["platform"] = platform
+    config["engine_semantics"] = ENGINE_SEMANTICS_VERSION
+    return config
 
 
 def canonical_config(
@@ -130,21 +138,31 @@ def canonical_config(
     version tag.  Serialising this with sorted keys gives the byte stream
     the content hash is computed over.
     """
-    if not isinstance(spec, PointSpec):
-        spec = spec_from_config(spec)
-    spec = canonical_spec(spec)
-    settings = settings or Grid5000Settings()
-    config: dict[str, object] = {f: getattr(spec, f) for f in _SPEC_FIELDS}
-    config["platform"] = asdict(settings)
-    config["engine_semantics"] = ENGINE_SEMANTICS_VERSION
-    return config
+    return _config(spec, asdict(settings or Grid5000Settings()))
+
+
+@lru_cache(maxsize=8)
+def _platform_fields(settings: Grid5000Settings) -> dict[str, object]:
+    """``asdict(settings)``, built once per settings value.
+
+    The dict is shared between calls, so only :func:`config_key`, which
+    serialises it and hands it to no caller, may use it.  Settings that
+    compare equal (``17`` and ``17.0`` alike) share one entry; they build
+    the same platform, so at worst the key spells a number the other way.
+    """
+    return asdict(settings)
 
 
 def config_key(
     spec: PointSpec | Mapping[str, object],
     settings: Grid5000Settings | None = None,
 ) -> str:
-    """Stable content hash (SHA-256 hex) of one simulation configuration."""
-    canonical = canonical_config(spec, settings)
+    """Stable content hash (SHA-256 hex) of one simulation configuration.
+
+    It runs on every service query, cache hits included, and a runner's
+    settings never change, so their part of :func:`canonical_config` is
+    built once per settings value.
+    """
+    canonical = _config(spec, _platform_fields(settings or Grid5000Settings()))
     payload = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()

@@ -3,21 +3,13 @@
 from __future__ import annotations
 
 import hashlib
-import os
-import subprocess
-import sys
 
 import pytest
 
-from repro.dag.graph import (
-    TaskGraph,
-    cached_graph,
-    graph_cache_info,
-    set_graph_cache_size,
-    tiled_qr_graph,
-    tsqr_graph,
-)
+from repro.dag.graph import TaskGraph, cached_graph, tiled_qr_graph
+from repro.dag.runtime import DAGFactorizationConfig, run_dag_factorization
 from repro.exceptions import ConfigurationError
+from repro.model.costs import dag_caqr_costs
 from repro.util.units import DOUBLE_BYTES
 
 
@@ -30,7 +22,7 @@ def _toy_graph() -> TaskGraph:
 
 def _add(g: TaskGraph, reads=(), writes=()) -> int:
     return g.add_task(
-        "tsqr_leaf",
+        "geqrt",
         reads=tuple(g.handle_id(k) for k in reads),
         writes=tuple(g.handle_id(k) for k in writes),
         flops=1.0,
@@ -122,84 +114,38 @@ class TestTiledQRGraph:
             tiled_qr_graph(32, 16, 8, n_groups=2, group_clusters=["a"])
 
 
-class TestTSQRGraph:
-    def test_leaves_and_combines(self):
-        g = tsqr_graph(4000, 50, 4, tree_kind="binary")
-        leaves = [t for t in g.tasks if t.kernel == "tsqr_leaf"]
-        combines = [t for t in g.tasks if t.kernel == "tsqr_combine"]
-        assert len(leaves) == 4
-        assert len(combines) == 3  # one per tree edge
-
-    def test_r_wire_bytes_are_the_papers_half_triangle(self):
-        n = 32
-        g = tsqr_graph(1024, n, 2)
-        r_handle = g.handle_id(("R", 0))
-        assert g.handle_nbytes[r_handle] == n * (n + 1) // 2 * DOUBLE_BYTES
-
-    def test_rejects_short_domains(self):
-        with pytest.raises(ConfigurationError, match="fewer"):
-            tsqr_graph(100, 60, 2)
-
-
 class TestGraphCache:
-    """The configurable cached_graph front (capacity, eviction, env knob)."""
-
-    @pytest.fixture(autouse=True)
-    def _restore_capacity(self):
-        """Every test resizes freely; the suite's capacity is put back after."""
-        before = graph_cache_info().maxsize
-        yield
-        set_graph_cache_size(before)
+    """The memoised cached_graph front: hits share, eviction is safe."""
 
     def test_hit_returns_the_same_object(self):
-        set_graph_cache_size(4)
         assert cached_graph("qr", 64, 32, 16) is cached_graph("qr", 64, 32, 16)
 
     def test_eviction_then_rebuild_is_structurally_identical(self):
         """An evicted graph rebuilds to the exact same structure.
 
-        Capacity 1 forces the eviction deterministically: building any
-        second graph drops the first.  The rebuilt first graph is a *new
-        object* (the eviction really happened) with an *identical
-        fingerprint* (handles, tasks, edges, wire sizes) — eviction can
-        change performance, never results.
+        Clearing the cache forces the eviction deterministically.  The
+        rebuilt graph is a *new object* (the eviction really happened) with
+        an *identical fingerprint* (handles, tasks, edges, wire sizes) —
+        eviction can change performance, never results.
         """
-        set_graph_cache_size(1)
         first = cached_graph("qr", 96, 96, 16, 3, "binary", None)
         fingerprint = _graph_fingerprint(first)
-        cached_graph("cholesky", 64, 64, 16)  # evicts the QR graph
+        cached_graph.cache_clear()
         rebuilt = cached_graph("qr", 96, 96, 16, 3, "binary", None)
         assert rebuilt is not first
         assert _graph_fingerprint(rebuilt) == fingerprint
 
-    def test_capacity_zero_disables_caching(self):
-        set_graph_cache_size(0)
-        assert cached_graph("qr", 64, 32, 16) is not cached_graph("qr", 64, 32, 16)
-
-    def test_resize_rejects_negative(self):
-        with pytest.raises(ConfigurationError, match=">= 0"):
-            set_graph_cache_size(-1)
-
-    def test_env_var_sets_the_import_time_capacity(self):
-        code = (
-            "from repro.dag.graph import graph_cache_info; "
-            "print(graph_cache_info().maxsize)"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "REPRO_GRAPH_CACHE_SIZE": "5"},
-            capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.strip() == "5"
-
-    def test_env_var_rejects_garbage(self):
-        proc = subprocess.run(
-            [sys.executable, "-c", "import repro.dag.graph"],
-            env={**os.environ, "REPRO_GRAPH_CACHE_SIZE": "many"},
-            capture_output=True, text=True,
-        )
-        assert proc.returncode != 0
-        assert "REPRO_GRAPH_CACHE_SIZE" in proc.stderr
+    def test_cost_model_and_runtime_share_one_graph(self, platform8):
+        """The model and the runtime key the cache alike: one build, one hit."""
+        m, n, tile = 256, 48, 16
+        p = platform8.n_processes
+        clusters = [platform8.placement.cluster_of(r) for r in range(p)]
+        cached_graph.cache_clear()
+        dag_caqr_costs(m, n, p, tile_size=tile, clusters=clusters)
+        run_dag_factorization(platform8, DAGFactorizationConfig(m=m, n=n, tile_size=tile))
+        info = cached_graph.cache_info()
+        assert info.misses == 1
+        assert info.hits >= 1
 
 
 def _graph_fingerprint(graph) -> str:

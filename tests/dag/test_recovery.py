@@ -15,7 +15,6 @@ import pytest
 
 import repro.dag.runtime as runtime_mod
 from repro.dag import (
-    DAGCAQRConfig,
     DAGFactorizationConfig,
     build_recovery_plan,
     cached_graph,
@@ -34,9 +33,9 @@ def spd_matrix(n: int, *, seed: int = 0) -> np.ndarray:
     return a @ a.T + n * np.eye(n)
 
 
-def qr_config(seed: int = 3) -> DAGCAQRConfig:
+def qr_config(seed: int = 3) -> DAGFactorizationConfig:
     a = random_matrix(256, 96, seed=seed)
-    return DAGCAQRConfig(m=256, n=96, tile_size=32, matrix=a)
+    return DAGFactorizationConfig(m=256, n=96, tile_size=32, matrix=a)
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +300,10 @@ class TestSPMDCapabilityGap:
             )
         res = run_dag_factorization(
             platform4_single_site,
-            DAGCAQRConfig(m=256, n=96, tile_size=32, matrix=a),
+            DAGFactorizationConfig(m=256, n=96, tile_size=32, matrix=a),
             failures=schedule,
         )
         base = run_dag_factorization(
-            platform4_single_site, DAGCAQRConfig(m=256, n=96, tile_size=32, matrix=a)
+            platform4_single_site, DAGFactorizationConfig(m=256, n=96, tile_size=32, matrix=a)
         )
         assert np.array_equal(res.r, base.r)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.dag.runtime import DAGFactorizationConfig, run_dag_factorization
 from repro.exceptions import ConfigurationError
 from repro.experiments.figures import (
     dag_caqr_sweep,
@@ -11,6 +12,7 @@ from repro.experiments.figures import (
     dag_failures_sweep,
     failure_schedule_pairs,
 )
+from repro.experiments.grid5000 import Grid5000Settings
 from repro.experiments.runner import ExperimentRunner, PointSpec
 
 #: Reduced workload: same shape as the paper-scale artefact, CI-sized.
@@ -78,6 +80,24 @@ class TestSweep:
         assert 0.0 < point.critical_path_s <= point.time_s
         spmd = runner.caqr_point(16384, 128, 4, tile_size=32)
         assert spmd.critical_path_s is None
+
+    @pytest.mark.parametrize("algorithm", ("caqr", "cholesky", "lu"))
+    def test_dag_point_is_the_runtime_run(self, algorithm):
+        """Every DAG algorithm goes through one runner branch, and a point
+        that omits the policies runs the runtime's default schedule."""
+        runner = ExperimentRunner(Grid5000Settings(nodes_per_cluster=2, processes_per_node=2))
+        m = 256 if algorithm == "cholesky" else 1024
+        spec = PointSpec(algorithm=algorithm, m=m, n=256, n_sites=2, tile_size=64,
+                         tree_kind="binary", runtime="dag")
+        point = runner.run_point(spec)
+        direct = run_dag_factorization(
+            runner.platform(2),
+            DAGFactorizationConfig(m=m, n=256, tile_size=64,
+                                   algorithm="qr" if algorithm == "caqr" else algorithm),
+        )
+        assert point.time_s == direct.makespan_s
+        assert point.critical_path_s == direct.critical_path_s
+        assert point.trace == direct.trace
 
 
 class TestCholeskySweep:

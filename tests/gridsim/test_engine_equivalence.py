@@ -30,13 +30,7 @@ import threading
 import pytest
 
 from repro.exceptions import DeadlockError
-from repro.dag.runtime import (
-    DAGCAQRConfig,
-    DAGFactorizationConfig,
-    run_dag_caqr,
-    run_dag_factorization,
-    run_dag_tsqr,
-)
+from repro.dag.runtime import DAGFactorizationConfig, run_dag_factorization
 from repro.gridsim.communicator import CommHandle
 from repro.gridsim.executor import SimulationResult, SPMDExecutor, run_spmd
 from repro.gridsim.failures import FailureSchedule, RankFailure
@@ -88,9 +82,6 @@ ENTRY_POINTS = {
         ScaLAPACKConfig(m=262_144, n=32),
         collective_tree="hierarchical",
         record_messages=True,
-    ).simulation,
-    "dag-tsqr": lambda platform: run_dag_tsqr(
-        platform, 262_144, 32, record_messages=True
     ).simulation,
 }
 
@@ -181,8 +172,8 @@ SINGLE_THREAD_WORKLOADS = {
     "spmd-tsqr": _run,
     "spmd-caqr": lambda platform: run_parallel_caqr(platform, CAQR_CONFIG),
     "scalapack": ENTRY_POINTS["scalapack"],
-    "dag-caqr": lambda platform: run_dag_caqr(
-        platform, DAGCAQRConfig(m=32_768, n=96, tile_size=32)
+    "dag-caqr": lambda platform: run_dag_factorization(
+        platform, DAGFactorizationConfig(m=32_768, n=96, tile_size=32)
     ),
     "dag-recovery": lambda platform: run_dag_factorization(
         platform,
@@ -227,16 +218,16 @@ class TestReadyLoopNeverProbes:
 
         monkeypatch.setattr(CommHandle, "probe", refuse)
 
-    @pytest.mark.parametrize("workload", ["dag-cholesky", "dag-lu", "dag-tsqr"])
+    @pytest.mark.parametrize("workload", ["dag-cholesky", "dag-lu"])
     def test_parity_workload(self, platform8, workload):
         assert event_hash(ENTRY_POINTS[workload](platform8)) == PARITY_HASHES[workload]
 
     def test_trace_workload(self, platform8):
         (placement, priority), expected = TRACE_HASHES[3]  # block-cyclic
-        config = DAGCAQRConfig(
+        config = DAGFactorizationConfig(
             m=32_768, n=96, tile_size=32, placement=placement, priority=priority
         )
-        result = run_dag_caqr(platform8, config, record_messages=True)
+        result = run_dag_factorization(platform8, config, record_messages=True)
         assert event_hash(result.simulation) == expected
 
     def test_recovery_run(self, platform4_single_site):
@@ -311,7 +302,7 @@ GRAPH_FINGERPRINTS = [
      '437381051527d3eb61ca7a57f32e86b96bd541bf6d4f4f48f35b7556e36d594d'),
 ]
 
-#: Golden event-stream hashes of ``DAGCAQRConfig(m=32768, n=96, tile_size=32)``
+#: Golden event-stream hashes of ``DAGFactorizationConfig(m=32768, n=96, tile_size=32)``
 #: on the 8-rank test platform, captured from the pre-refactor runtime: the
 #: registry swap must not move a single event, under any placement x priority.
 TRACE_HASHES = [
@@ -337,7 +328,6 @@ PARITY_HASHES = {
     "tsqr-q": "5ff66297769a3e10f43e94938d3a91bc914a521b908840fcf5415fba24698e87",
     "scalapack": "d23049db83f8b4922acf4c62cece841b5725321e084485ac72aa801726145f32",
     "scalapack-hierarchical": "407ddabbf9242571951a17cb11b48ee321ba2ba1f6443125151e5f87e8772b25",
-    "dag-tsqr": "e4e50a5cfa84d0e9eeeb868aaf7552c281f7e1c695feb57019ed0d4e02e637fa",
 }
 
 #: Golden event-stream hashes of ``_collectives`` on the 8-rank test
@@ -397,10 +387,10 @@ class TestRegistryRefactorEquivalence:
     @pytest.mark.parametrize("policies,expected", TRACE_HASHES)
     def test_qr_trace_hashes_unchanged(self, platform8, policies, expected):
         placement, priority = policies
-        config = DAGCAQRConfig(
+        config = DAGFactorizationConfig(
             m=32_768, n=96, tile_size=32, placement=placement, priority=priority
         )
-        result = run_dag_caqr(platform8, config, record_messages=True)
+        result = run_dag_factorization(platform8, config, record_messages=True)
         assert event_hash(result.simulation) == expected
 
 

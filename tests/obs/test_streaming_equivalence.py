@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-from repro.dag.runtime import DAGCAQRConfig, run_dag_caqr
+from repro.dag.runtime import DAGFactorizationConfig, run_dag_factorization
 from repro.gridsim.executor import SPMDExecutor
 from repro.obs.stats import stats_from_events
 from repro.tsqr.parallel import TSQRConfig, qcg_tsqr_program, run_parallel_tsqr
@@ -127,10 +127,10 @@ class TestObserverInvariance:
 
 
 class TestDagRuntime:
-    CONFIG = DAGCAQRConfig(m=1024, n=256, tile_size=64)  # matrix None: virtual
+    CONFIG = DAGFactorizationConfig(m=1024, n=256, tile_size=64)  # matrix None: virtual
 
     def test_dag_online_matches_event_recomputation(self, platform8):
-        run = run_dag_caqr(platform8, self.CONFIG, record_messages=True)
+        run = run_dag_factorization(platform8, self.CONFIG, record_messages=True)
         sim = run.simulation
         online = run.trace.stats
         assert online is not None
@@ -141,7 +141,7 @@ class TestDagRuntime:
             assert getattr(online, name) == getattr(replayed, name), name
 
     def test_dag_snapshot_pinned(self, platform8):
-        run = run_dag_caqr(platform8, self.CONFIG)
+        run = run_dag_factorization(platform8, self.CONFIG)
         assert _snapshot_digest(run.trace) == SNAPSHOT_HASHES["dag-caqr"]
 
 

@@ -20,12 +20,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.dag import (
-    DAGCAQRConfig,
     DAGFactorizationConfig,
     build_tiled_graph,
     communication_counts,
     place_tasks,
-    run_dag_caqr,
     run_dag_factorization,
 )
 from repro.programs.caqr import CAQRConfig, run_parallel_caqr
@@ -76,9 +74,9 @@ def test_dag_caqr_matches_lapack_and_spmd_bitwise(
     spmd = run_parallel_caqr(
         PLATFORM, CAQRConfig(m=m, n=n, tile_size=tile, panel_tree=tree, matrix=a)
     )
-    dag = run_dag_caqr(
+    dag = run_dag_factorization(
         PLATFORM,
-        DAGCAQRConfig(
+        DAGFactorizationConfig(
             m=m, n=n, tile_size=tile, panel_tree=tree,
             placement=placement, priority=priority, matrix=a,
         ),
@@ -95,9 +93,9 @@ def test_fat_panels(n, fat_extra, tile, seed, priority):
     """m < n: R is upper-trapezoidal and still matches LAPACK."""
     m = n
     a = _matrix(m, n + fat_extra, seed)
-    dag = run_dag_caqr(
+    dag = run_dag_factorization(
         PLATFORM,
-        DAGCAQRConfig(m=m, n=n + fat_extra, tile_size=tile, priority=priority, matrix=a),
+        DAGFactorizationConfig(m=m, n=n + fat_extra, tile_size=tile, priority=priority, matrix=a),
     )
     assert dag.r.shape == (m, n + fat_extra)
     assert r_factors_match(dag.r, np.linalg.qr(a, mode="r"))
@@ -108,9 +106,9 @@ def test_fat_panels(n, fat_extra, tile, seed, priority):
 def test_tile_larger_than_matrix_is_single_task(shape, seed, placement):
     m, n = shape
     a = _matrix(m, n, seed)
-    dag = run_dag_caqr(
+    dag = run_dag_factorization(
         PLATFORM,
-        DAGCAQRConfig(
+        DAGFactorizationConfig(
             m=m, n=n, tile_size=max(m, n) + 5, placement=placement, matrix=a
         ),
     )

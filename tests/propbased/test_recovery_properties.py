@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.dag import DAGCAQRConfig, DAGFactorizationConfig, run_dag_factorization
+from repro.dag import DAGFactorizationConfig, run_dag_factorization
 from repro.gridsim.failures import FailureSchedule, RankFailure
 from tests.conftest import make_platform
 from tests.dag.test_cholesky_lu import spd_matrix
@@ -68,7 +68,7 @@ def _consistent_report(res, schedule: FailureSchedule) -> None:
 @given(schedule=failure_schedules(), seed=st.integers(0, 2**16))
 def test_qr_recovery_is_bit_identical_for_any_schedule(schedule, seed):
     a = np.random.default_rng(seed).standard_normal((192, 64))
-    cfg = DAGCAQRConfig(m=192, n=64, tile_size=32, matrix=a)
+    cfg = DAGFactorizationConfig(m=192, n=64, tile_size=32, matrix=a)
     base = run_dag_factorization(PLATFORM, cfg)
     res = run_dag_factorization(
         PLATFORM, cfg, failures=schedule, baseline_makespan_s=base.makespan_s
@@ -95,7 +95,7 @@ def test_cholesky_recovery_is_bit_identical_for_any_schedule(schedule, seed):
 def test_failing_runs_are_bit_deterministic(schedule):
     """Two identical runs under the same schedule: identical traces, events,
     death times and accounting."""
-    cfg = DAGCAQRConfig(m=192, n=64, tile_size=32)  # virtual: trace-only
+    cfg = DAGFactorizationConfig(m=192, n=64, tile_size=32)  # virtual: trace-only
     runs = [
         run_dag_factorization(
             PLATFORM,

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
+from repro.dag.runtime import DAGFactorizationConfig
 from repro.exceptions import ConfigurationError
 from repro.experiments.grid5000 import Grid5000Settings
 from repro.experiments.runner import PointSpec
@@ -70,6 +74,14 @@ class TestCanonicalSpec:
         explicit = {**implicit, "placement": "block", "priority": "critical-path"}
         assert config_key(implicit) == config_key(explicit)
 
+    def test_filled_defaults_are_the_runtime_defaults(self):
+        """The key fills in exactly the policies the runtime would run."""
+        spec = spec_from_config({"algorithm": "caqr", "m": 4096, "n": 128,
+                                 "n_sites": 2, "tile_size": 32, "runtime": "dag"})
+        canon = canonical_spec(spec)
+        runtime = DAGFactorizationConfig(m=spec.m, n=spec.n)
+        assert (canon.placement, canon.priority) == (runtime.placement, runtime.priority)
+
     def test_scalapack_ignores_the_panel_tree(self):
         base = {"algorithm": "scalapack", "m": 65536, "n": 32, "n_sites": 2}
         assert config_key(base) == config_key({**base, "tree_kind": "flat"})
@@ -106,3 +118,46 @@ class TestConfigKey:
         config = canonical_config(TSQR)
         assert config["engine_semantics"] == ENGINE_SEMANTICS_VERSION
         assert config["platform"]["nodes_per_cluster"] == Grid5000Settings().nodes_per_cluster
+
+
+#: Key digests captured before the settings part of the key was cached, with
+#: the default settings.  Stored results are found under these bytes, so a
+#: change of serialisation must fail here; an ENGINE_SEMANTICS_VERSION bump
+#: changes all of them on purpose.
+KEY_DIGESTS = [
+    ({"algorithm": "tsqr", "m": 33554432, "n": 64, "n_sites": 4,
+      "domains_per_cluster": 64},
+     "37a635f2766539671044dc4eb4327753863f22a2968dbf617d7973264fba6f1d"),
+    ({"algorithm": "cholesky", "n": 4096, "n_sites": 4, "tile_size": 128},
+     "0c8378475b116451fce8b1de7876efadf8da25a4122ae8f463d71581c1e75dc8"),
+    ({"algorithm": "caqr", "runtime": "dag", "m": 16384, "n": 128, "n_sites": 4,
+      "tile_size": 32, "tree_kind": "binary"},
+     "c934d0a83148de1007d90ead125efd4bdc30901d842612c1610365211b41ac49"),
+]
+
+
+class TestKeyBytes:
+    @pytest.mark.parametrize("config,digest", KEY_DIGESTS)
+    def test_digest_pinned(self, config, digest):
+        assert config_key(config) == digest
+        assert config_key(config, Grid5000Settings()) == digest
+
+    @pytest.mark.parametrize(
+        "settings",
+        [Grid5000Settings(), Grid5000Settings(nodes_per_cluster=2, processes_per_node=2)],
+        ids=["default", "small"],
+    )
+    def test_key_is_the_digest_of_canonical_config(self, settings):
+        """The memoised settings part hashes like a freshly built one."""
+        for config in (TSQR, {**TSQR, "m": 4096}):
+            payload = json.dumps(
+                canonical_config(config, settings), sort_keys=True, separators=(",", ":")
+            )
+            assert config_key(config, settings) == hashlib.sha256(payload.encode()).hexdigest()
+
+    def test_canonical_config_returns_a_fresh_platform_dict(self):
+        before = config_key(TSQR)
+        canonical_config(TSQR)["platform"]["nodes_per_cluster"] = 1
+        default = Grid5000Settings().nodes_per_cluster
+        assert canonical_config(TSQR)["platform"]["nodes_per_cluster"] == default
+        assert config_key(TSQR) == before
