@@ -168,9 +168,10 @@ def bench_json(local_results_dir):
 #
 # Perf benchmarks gate themselves against the committed BENCH_<name>.json.
 # Rows are dicts carrying at least ``ranks``, ``wall_s`` and
-# ``events_per_s``; all three helpers return human-readable failure
-# messages (empty list = gate passed) so a benchmark can collect every
-# violation before asserting.
+# ``events_per_s`` (the overhead gate's rows carry paired on/off walls
+# instead); all four helpers return human-readable failure messages (empty
+# list = gate passed) so a benchmark can collect every violation before
+# asserting.  ``benchmarks/test_gates.py`` checks that each one can fail.
 
 def wall_gate_failures(
     fresh_rows: list[dict],
@@ -264,6 +265,34 @@ def events_flatness_failures(
     return failures
 
 
+def overhead_gate_failures(
+    rows: list[dict],
+    *,
+    factor: float = 1.10,
+    slack_s: float = 0.15,
+) -> list[str]:
+    """Streaming-statistics overhead check of paired on/off walls.
+
+    Each row carries ``ranks``, ``wall_streaming_s`` and
+    ``wall_no_streaming_s`` (the best of paired runs of one configuration
+    with streaming on and off).  The streaming wall may be at most
+    ``factor`` times the bare wall plus ``slack_s``; the slack absorbs
+    scheduler jitter, so only rows whose bare wall is several times the
+    slack can fail on the ratio.
+    """
+    failures = []
+    for row in rows:
+        wall_on = row["wall_streaming_s"]
+        wall_off = row["wall_no_streaming_s"]
+        limit = wall_off * factor + slack_s
+        if wall_on > limit:
+            failures.append(
+                f"tracing overhead at {row['ranks']} ranks: {wall_on:.3f}s streaming "
+                f"vs {wall_off:.3f}s without (limit {limit:.3f}s)"
+            )
+    return failures
+
+
 __all__ = [
     "ascii_table",
     "bench_domain_counts",
@@ -274,6 +303,7 @@ __all__ = [
     "events_gate_failures",
     "full_sweep",
     "load_bench_json",
+    "overhead_gate_failures",
     "report_figure",
     "report_rows",
     "wall_gate_failures",

@@ -37,12 +37,14 @@ tasks) joins it under the same gates, so graph construction and scheduling
 cost is tracked for a dense 2-D dependence structure too.
 
 A fourth section measures the always-on streaming-observability layer: the
-512- and 2048-rank TSQR rows re-run with ``streaming_stats=False`` next to a
-streaming run, best of paired measurements, and the streaming wall must stay
-within 10% (plus a small absolute slack) of the bare run — the overhead
-budget the observability layer was designed against.  Rows go to
-``results/local/scaling_smoke_tracing.csv`` and ``BENCH_engine.json`` under
-``tracing_overhead``.
+512-, 2048- and 8192-rank TSQR rows re-run with ``streaming_stats=False``
+next to a streaming run, best of paired measurements, and the streaming
+wall must stay within 10% plus 0.15 s of the bare run
+(``benchmarks/conftest.py::overhead_gate_failures``).  At 512 and 2048 ranks
+the bare run takes 0.02-0.08 s, so the slack lets a several-fold overhead
+through there; the 8192-rank row (~0.35 s bare) is the one that can fail.
+Rows go to ``results/local/scaling_smoke_tracing.csv`` and
+``BENCH_engine.json`` under ``tracing_overhead``.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ from benchmarks.conftest import (
     events_gate_failures,
     full_sweep,
     load_bench_json,
+    overhead_gate_failures,
     report_rows,
     wall_gate_failures,
 )
@@ -95,8 +98,9 @@ EVENTS_GATE_MIN_WALL_S = 0.01
 #: Flatness gate: no rank count below this fraction of the sweep's best rate.
 FLATNESS_COLLAPSE_RATIO = 0.5
 
-#: Rank counts of the streaming-stats overhead comparison.
-TRACING_OVERHEAD_RANKS = (512, 2048)
+#: Rank counts of the streaming-stats overhead comparison (only the 8192-rank
+#: row is slow enough to fail on the ratio, see the module docstring).
+TRACING_OVERHEAD_RANKS = (512, 2048, 8192)
 #: Streaming on may cost at most 10% over streaming off…
 TRACING_OVERHEAD_FACTOR = 1.10
 #: …plus a small absolute slack so sub-second rows cannot flake on
@@ -246,7 +250,6 @@ def test_engine_scaling_smoke(local_results_dir, bench_json):
     # alternating modes) keep CI noise out of the ratio; a small absolute
     # slack keeps sub-second rows from flaking on scheduler jitter.
     overhead_rows = []
-    overhead_failures = []
     for n_ranks in TRACING_OVERHEAD_RANKS:
         platform = _platform(n_ranks)
         config = TSQRConfig(m=n_ranks * 4096, n=64)
@@ -259,7 +262,6 @@ def test_engine_scaling_smoke(local_results_dir, bench_json):
             result = run_parallel_tsqr(platform, config, streaming_stats=True)
             wall_on = min(wall_on, time.perf_counter() - start)
         assert result.trace.stats is not None  # streaming mode actually ran
-        limit = wall_off * TRACING_OVERHEAD_FACTOR + TRACING_OVERHEAD_SLACK_S
         overhead_rows.append(
             {
                 "ranks": n_ranks,
@@ -269,11 +271,6 @@ def test_engine_scaling_smoke(local_results_dir, bench_json):
                 if wall_off > 0 else None,
             }
         )
-        if wall_on > limit:
-            overhead_failures.append(
-                f"tracing overhead at {n_ranks} ranks: {wall_on:.3f}s streaming "
-                f"vs {wall_off:.3f}s without (limit {limit:.3f}s)"
-            )
     report_rows(
         "Streaming-stats overhead (wall on vs off)",
         overhead_rows,
@@ -356,5 +353,9 @@ def test_engine_scaling_smoke(local_results_dir, bench_json):
         collapse_ratio=FLATNESS_COLLAPSE_RATIO,
         min_wall_s=EVENTS_GATE_MIN_WALL_S,
     )
-    failures += overhead_failures
+    failures += overhead_gate_failures(
+        overhead_rows,
+        factor=TRACING_OVERHEAD_FACTOR,
+        slack_s=TRACING_OVERHEAD_SLACK_S,
+    )
     assert not failures, "engine regression gate:\n  " + "\n  ".join(failures)

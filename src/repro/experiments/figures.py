@@ -31,6 +31,7 @@ from repro.exceptions import ConfigurationError, SimulationError
 from repro.experiments.grid5000 import CLUSTER_NAMES, PAPER_LATENCY_MS, PAPER_THROUGHPUT_MBITS
 from repro.experiments.runner import ExperimentPoint, ExperimentRunner, PointSpec
 from repro.dag.analysis import mean_idle_fraction, rank_utilization
+from repro.dag.placement import DEFAULT_PLACEMENT, DEFAULT_PRIORITY
 from repro.experiments.workloads import (
     CAQR_PANEL_TREES,
     CAQR_SWEEP_M,
@@ -589,7 +590,7 @@ def dag_caqr_sweep(
     n_sites: int = DAG_SWEEP_SITES,
     tile_size: int = DAG_SWEEP_TILE,
     panel_tree: str = "binary",
-    placement: str = "block",
+    placement: str = DEFAULT_PLACEMENT,
     priorities: tuple[str, ...] = DAG_SWEEP_PRIORITIES,
 ) -> list[dict[str, object]]:
     """Task-DAG CAQR against SPMD CAQR on the same problem, per priority.
@@ -677,7 +678,7 @@ def dag_cholesky_sweep(
     n_values: tuple[int, ...] | list[int] | None = None,
     n_sites: int = DAG_CHOLESKY_SWEEP_SITES,
     tile_size: int = DAG_CHOLESKY_SWEEP_TILE,
-    placement: str = "block",
+    placement: str = DEFAULT_PLACEMENT,
     priorities: tuple[str, ...] = DAG_SWEEP_PRIORITIES,
 ) -> list[dict[str, object]]:
     """Task-DAG tiled Cholesky per priority, measured counts next to the model.
@@ -789,8 +790,8 @@ def dag_failures_sweep(
     n: int | None = None,
     n_sites: int = DAG_FAILURES_SWEEP_SITES,
     tile_size: int = DAG_FAILURES_SWEEP_TILE,
-    placement: str = "block",
-    priority: str = "critical-path",
+    placement: str = DEFAULT_PLACEMENT,
+    priority: str = DEFAULT_PRIORITY,
     failure_counts: tuple[int, ...] | list[int] = DAG_FAILURES_COUNTS,
 ) -> list[dict[str, object]]:
     """Re-execution recovery cost versus the number of injected rank deaths.
@@ -876,8 +877,8 @@ def trace_hotspots_report(
     n_sites: int = DAG_SWEEP_SITES,
     tile_size: int = DAG_SWEEP_TILE,
     panel_tree: str = "binary",
-    placement: str = "block",
-    priority: str = "critical-path",
+    placement: str = DEFAULT_PLACEMENT,
+    priority: str = DEFAULT_PRIORITY,
     top_k: int = 8,
 ) -> list[dict[str, object]]:
     """Rank the top-K contention sites of a contended DAG-CAQR run.

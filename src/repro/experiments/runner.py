@@ -490,8 +490,8 @@ class ExperimentRunner:
         *,
         tile_size: int = 64,
         panel_tree: str = "binary",
-        placement: str = "block",
-        priority: str = "critical-path",
+        placement: str = DEFAULT_PLACEMENT,
+        priority: str = DEFAULT_PRIORITY,
         failures: tuple[tuple[int, float], ...] | None = None,
     ) -> ExperimentPoint:
         """DAG-runtime CAQR at one (M, N, sites, tile, placement, priority) point."""
@@ -516,8 +516,8 @@ class ExperimentRunner:
         n_sites: int,
         *,
         tile_size: int = 64,
-        placement: str = "block",
-        priority: str = "critical-path",
+        placement: str = DEFAULT_PLACEMENT,
+        priority: str = DEFAULT_PRIORITY,
         failures: tuple[tuple[int, float], ...] | None = None,
     ) -> ExperimentPoint:
         """DAG-runtime tiled Cholesky at one (N, sites, tile, policies) point."""
@@ -542,8 +542,8 @@ class ExperimentRunner:
         n_sites: int,
         *,
         tile_size: int = 64,
-        placement: str = "block",
-        priority: str = "critical-path",
+        placement: str = DEFAULT_PLACEMENT,
+        priority: str = DEFAULT_PRIORITY,
     ) -> ExperimentPoint:
         """DAG-runtime tiled LU (no pivoting) at one (M, N, sites, ...) point."""
         return self.run_point(

@@ -311,6 +311,9 @@ class Trace:
     def summary(self) -> TraceSummary:
         """Return an immutable aggregate snapshot of the trace."""
         with self._lock:
+            # One ranking of the contention sites serves both hot-spot
+            # fields: the summary's tuple is the snapshot's.
+            stats = self.stats.snapshot() if self.stats is not None else None
             # Export only links that carried messages, so the summary is
             # identical to the one the lazily-populated counters produced.
             return TraceSummary(
@@ -333,10 +336,8 @@ class Trace:
                 busy_s_per_rank=tuple(self._busy_s_per_rank),
                 comm_wait_s_per_rank=tuple(self._comm_wait_s_per_rank),
                 rank_failures=tuple(self.rank_failures),
-                hot_spots=(
-                    self.stats.top_hotspots() if self.stats is not None else ()
-                ),
-                stats=self.stats.snapshot() if self.stats is not None else None,
+                hot_spots=stats.hot_spots if stats is not None else (),
+                stats=stats,
             )
 
     def reset(self) -> None:

@@ -240,7 +240,7 @@ def dag_caqr_costs(
     *,
     tile_size: int = 64,
     panel_tree: str = "binary",
-    placement: str = "block",
+    placement: str | None = None,
     clusters: Sequence[str] | None = None,
 ) -> CostBreakdown:
     """Counts of a *dataflow* CAQR execution, joining the Eq. (1) predictor.
@@ -269,12 +269,17 @@ def dag_caqr_costs(
 
 
 def _graph_costs(
-    display: str, graph, m: int, n: int, p: int, placement: str
+    display: str, graph, m: int, n: int, p: int, placement: str | None
 ) -> CostBreakdown:
-    """Critical-path flops + exact message/volume counts of a task graph."""
-    from repro.dag.analysis import communication_counts, flop_critical_path
-    from repro.dag.placement import place_tasks
+    """Critical-path flops + exact message/volume counts of a task graph.
 
+    ``placement`` None is the runtime's default policy.
+    """
+    from repro.dag.analysis import communication_counts, flop_critical_path
+    from repro.dag.placement import DEFAULT_PLACEMENT, place_tasks
+
+    if placement is None:
+        placement = DEFAULT_PLACEMENT
     messages, nbytes = communication_counts(graph, place_tasks(graph, placement, p))
     return CostBreakdown(
         algorithm=display,
@@ -293,7 +298,7 @@ def dag_cholesky_costs(
     p: int,
     *,
     tile_size: int = 64,
-    placement: str = "block",
+    placement: str | None = None,
 ) -> CostBreakdown:
     """Counts of a dataflow tiled-Cholesky execution (see :func:`dag_caqr_costs`).
 
@@ -316,7 +321,7 @@ def dag_lu_costs(
     p: int,
     *,
     tile_size: int = 64,
-    placement: str = "block",
+    placement: str | None = None,
 ) -> CostBreakdown:
     """Counts of a dataflow tiled-LU (no pivoting) execution.
 

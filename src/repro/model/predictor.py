@@ -153,7 +153,7 @@ def predict_dag_caqr(
     *,
     tile_size: int = 64,
     panel_tree: str = "binary",
-    placement: str = "block",
+    placement: str | None = None,
 ) -> Prediction:
     """Eq. (1) applied to the dataflow CAQR counts of the task-DAG runtime.
 

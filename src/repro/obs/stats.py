@@ -26,7 +26,11 @@ is fed inline by the single-writer hot path of
 
 Everything is a pure *observer*: the statistics never feed back into
 scheduling or pricing, so pinned trace hashes are unaffected, and every
-structure is bounded — no per-event allocation, no event list.
+structure is bounded — no event list.  The timelines live in flat buffers
+allocated once per run, and contention sites in parallel arrays keyed by an
+int.  An event keeps a new Python object only when it opens a histogram
+bucket, a kernel, a traffic class or a contention site, so the
+accumulator's object count does not grow with the rank count.
 
 Determinism: under the cooperative scheduler the record calls arrive in a
 single global order that is a pure function of the simulated program, so two
@@ -39,11 +43,14 @@ same guarantee extends to them.
 
 from __future__ import annotations
 
+import heapq
+from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import frexp
 
 from repro.gridsim.network import LinkClass
-from repro.obs.timeline import WindowedTimeline
+from repro.obs.timeline import FrozenTimeline, WindowedTimeline
 
 __all__ = [
     "COLLECTIVE_TAGS",
@@ -192,7 +199,7 @@ class HotSpot:
         }
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=False)
 class TraceStats:
     """Immutable snapshot of a run's streaming statistics.
 
@@ -200,6 +207,13 @@ class TraceStats:
     summaries rebuilt from the persistent cache — the windows are not
     serialised, only the top-K hot spots are).  All fields are excluded from
     ``TraceSummary`` equality so cached round-trips still compare equal.
+
+    The three per-rank timelines are properties: the snapshot keeps a frozen
+    copy of the raw timeline rows (``windows``) and boxes them into
+    rank-keyed dicts of tuples the first time one of them is read.  Most
+    runs never read them (only the exports do), so most snapshots never
+    pay for the boxing.  Equality compares the boxed timelines, as if they
+    were plain fields.
     """
 
     n_ranks: int = 0
@@ -210,16 +224,53 @@ class TraceStats:
     latency_by_link: dict[str, HistogramSummary] = field(default_factory=dict)
     size_by_link: dict[str, HistogramSummary] = field(default_factory=dict)
     flops_by_kernel: dict[str, HistogramSummary] = field(default_factory=dict)
-    #: rank -> per-window busy seconds (only ranks with any activity).
-    busy_timeline: dict[int, tuple[float, ...]] = field(default_factory=dict)
-    #: rank -> per-window p2p wait seconds.
-    wait_timeline: dict[int, tuple[float, ...]] = field(default_factory=dict)
-    #: rank -> per-window received bytes (exact integers).
-    recv_bytes_timeline: dict[int, tuple[int, ...]] = field(default_factory=dict)
     #: link -> traffic class ("p2p" or a collective tag) ->
     #: {"messages", "nbytes", "wait_s"} totals.
     link_traffic: dict[str, dict[str, dict]] = field(default_factory=dict)
     hot_spots: tuple[HotSpot, ...] = ()
+    #: Frozen raw timeline rows; None for a snapshot without timelines.
+    windows: FrozenTimeline | None = field(default=None, repr=False)
+
+    @cached_property
+    def _series(self) -> tuple[dict, dict, dict]:
+        # cached_property writes the instance __dict__ directly, which a
+        # frozen dataclass allows.
+        return self.windows.series() if self.windows is not None else ({}, {}, {})
+
+    @property
+    def busy_timeline(self) -> dict[int, tuple[float, ...]]:
+        """rank -> per-window busy seconds (only ranks with any activity)."""
+        return self._series[0]
+
+    @property
+    def wait_timeline(self) -> dict[int, tuple[float, ...]]:
+        """rank -> per-window p2p wait seconds."""
+        return self._series[1]
+
+    @property
+    def recv_bytes_timeline(self) -> dict[int, tuple[int, ...]]:
+        """rank -> per-window received bytes (exact integers)."""
+        return self._series[2]
+
+    def _compared(self) -> tuple:
+        return (
+            self.n_ranks,
+            self.horizon_s,
+            self.window_s,
+            self.latency_by_link,
+            self.size_by_link,
+            self.flops_by_kernel,
+            self.busy_timeline,
+            self.wait_timeline,
+            self.recv_bytes_timeline,
+            self.link_traffic,
+            self.hot_spots,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
 
     def as_dict(self) -> dict:
         return {
@@ -248,10 +299,14 @@ class StreamingTraceStats:
 
     The three public callbacks — :meth:`on_message`, :meth:`on_flops`,
     :meth:`on_tick` — are written for the per-event budget of the engine
-    benchmarks: bound locals, dict upserts, no helper calls except the
-    timeline adds.  ``on_tick`` only advances the time horizon (a max), so
-    the dispatch pattern cannot perturb the snapshot; the executor's
-    ``finalize(makespan)`` pins the horizon regardless.
+    benchmarks: bound locals, dict upserts and flat-buffer increments, a
+    helper call only when a rank's timeline row is seeded or rebinned or a
+    contention site is opened.  ``on_tick`` only advances the time horizon
+    (a max), so the dispatch pattern cannot perturb the snapshot; the
+    executor's ``finalize(makespan)`` pins the horizon regardless.
+
+    World ranks passed to the callbacks must lie in ``[0, n_ranks)``: they
+    index the timeline buffers and the contention-site keys.
     """
 
     def __init__(
@@ -274,13 +329,29 @@ class StreamingTraceStats:
         self._lat: list[LogHistogram] = [LogHistogram() for _ in LinkClass]
         self._size: list[LogHistogram] = [LogHistogram() for _ in LinkClass]
         self._kernels: dict[str, LogHistogram] = {}
-        self._timeline = WindowedTimeline(
+        tl = self._timeline = WindowedTimeline(
             n_ranks, n_windows=n_windows, base_s=base_window_s
         )
-        #: (link index, source, dest) -> [wait_s, messages, nbytes]; only
-        #: messages with wait_s > 0 are accounted, capped at ``max_sites``
-        #: entries with an overflow slot per link.
-        self._sites: dict[tuple[int, int, int], list] = {}
+        # The hot path indexes the timeline's buffers directly; they are
+        # updated in place and never replaced.
+        self._n_windows = n_windows
+        self._width = tl.width
+        self._busy = tl.busy
+        self._wait = tl.wait
+        self._nbytes = tl.nbytes
+        #: Contention sites, accounted only for messages with wait_s > 0.
+        #: A site ``(link index, source, dest)`` is keyed by the int
+        #: ``(link * (n_ranks + 1) + source + 1) * (n_ranks + 1) + dest + 1``,
+        #: whose order is the tuple's, and ``_site_slot`` maps it to a slot
+        #: of the parallel totals arrays.  Past ``max_sites`` entries new
+        #: sites fold into one overflow slot per link, keyed as
+        #: ``(link, -1, -1)``.
+        self._site_base = n_ranks + 1
+        self._site_slot: dict[int, int] = {}
+        self._site_key = array("q")
+        self._site_wait = array("d")
+        self._site_msgs = array("q")
+        self._site_bytes = array("q")
         #: (link index, traffic class) -> [messages, nbytes, wait_s].
         self._traffic: dict[tuple[int, str], list] = {}
 
@@ -323,41 +394,48 @@ class StreamingTraceStats:
         waited = wait_s > 0.0
         if timed or waited:
             # Inlined timeline update: bytes and wait share the window at
-            # ``recv_time``, so one row lookup and one division cover both
+            # ``recv_time``, so one width lookup and one division cover both
             # (the separate add_bytes/add_wait calls cost ~2x on this path).
             # Collective tree edges carry no absolute times (recv_time 0.0)
             # and are excluded from the bytes timeline, matching what an
             # event replay can reconstruct.
-            tl = self._timeline
-            row = tl._rows.get(dest)
-            if row is None:
-                row = tl._seed(dest, recv_time)
-            width = row[0]
+            width = self._width[dest]
+            if not width:
+                width = self._timeline._seed(dest, recv_time)
             i = int(recv_time / width)
-            if i >= tl.n_windows:
-                width = tl._grow(row, recv_time)
+            if i >= self._n_windows:
+                width = self._timeline._grow(dest, recv_time)
                 i = int(recv_time / width)
+            i += dest * self._n_windows
             if timed:
-                row[3][i] += nbytes
+                self._nbytes[i] += nbytes
                 if recv_time > self.horizon:
                     self.horizon = recv_time
             if waited:
-                row[2][i] += wait_s
+                self._wait[i] += wait_s
                 ent[2] += wait_s
-                sites = self._sites
-                skey = (link_idx, source, dest)
-                site = sites.get(skey)
-                if site is None:
-                    if len(sites) < self._max_sites:
-                        site = sites[skey] = [0.0, 0, 0]
-                    else:
-                        skey = (link_idx, -1, -1)
-                        site = sites.get(skey)
-                        if site is None:
-                            site = sites[skey] = [0.0, 0, 0]
-                site[0] += wait_s
-                site[1] += 1
-                site[2] += nbytes
+                base = self._site_base
+                skey = (link_idx * base + source + 1) * base + dest + 1
+                slot = self._site_slot.get(skey)
+                if slot is None:
+                    slot = self._open_site(skey, link_idx)
+                self._site_wait[slot] += wait_s
+                self._site_msgs[slot] += 1
+                self._site_bytes[slot] += nbytes
+
+    def _open_site(self, key: int, link_idx: int) -> int:
+        """Slot of a site not seen before (the link's overflow slot once full)."""
+        slots = self._site_slot
+        if len(slots) >= self._max_sites:
+            key = link_idx * self._site_base**2  # (link_idx, -1, -1)
+        slot = slots.get(key)
+        if slot is None:
+            slot = slots[key] = len(self._site_key)
+            self._site_key.append(key)
+            self._site_wait.append(0.0)
+            self._site_msgs.append(0)
+            self._site_bytes.append(0)
+        return slot
 
     def on_flops(
         self,
@@ -378,16 +456,14 @@ class StreamingTraceStats:
         h.total += flops
         if end_time is not None and seconds > 0.0:
             # Inlined WindowedTimeline.add_busy (hot path, see on_message).
-            tl = self._timeline
-            row = tl._rows.get(rank)
-            if row is None:
-                row = tl._seed(rank, end_time)
-            width = row[0]
+            width = self._width[rank]
+            if not width:
+                width = self._timeline._seed(rank, end_time)
             i = int(end_time / width)
-            if i >= tl.n_windows:
-                width = tl._grow(row, end_time)
+            if i >= self._n_windows:
+                width = self._timeline._grow(rank, end_time)
                 i = int(end_time / width)
-            row[1][i] += seconds
+            self._busy[rank * self._n_windows + i] += seconds
             if end_time > self.horizon:
                 self.horizon = end_time
 
@@ -411,28 +487,38 @@ class StreamingTraceStats:
             self.horizon = makespan
 
     def top_hotspots(self) -> tuple[HotSpot, ...]:
-        """Top-K contention sites by accumulated wait, deterministic order."""
+        """Top-K contention sites by accumulated wait, deterministic order.
+
+        Ranked by descending wait, ties by ``(link, source, dest)``: the
+        packed site key sorts like that tuple and is unique per site, so
+        the partial selection returns exactly the head of a full sort.
+        """
         link_names = [k.value for k in LinkClass]
-        ranked = sorted(
-            self._sites.items(),
-            key=lambda kv: (-kv[1][0], kv[0][0], kv[0][1], kv[0][2]),
+        keys = self._site_key
+        waits = self._site_wait
+        base = self._site_base
+        top = heapq.nsmallest(
+            self.top_k, range(len(keys)), key=lambda s: (-waits[s], keys[s])
         )
-        return tuple(
-            HotSpot(
-                link=link_names[link_idx],
-                source=source,
-                dest=dest,
-                wait_s=vals[0],
-                messages=vals[1],
-                nbytes=vals[2],
+        spots = []
+        for slot in top:
+            link_idx, pair = divmod(keys[slot], base * base)
+            source, dest = divmod(pair, base)
+            spots.append(
+                HotSpot(
+                    link=link_names[link_idx],
+                    source=source - 1,
+                    dest=dest - 1,
+                    wait_s=waits[slot],
+                    messages=self._site_msgs[slot],
+                    nbytes=self._site_bytes[slot],
+                )
             )
-            for (link_idx, source, dest), vals in ranked[: self.top_k]
-        )
+        return tuple(spots)
 
     def snapshot(self) -> TraceStats:
         """Freeze every accumulator into an immutable :class:`TraceStats`."""
         link_names = [k.value for k in LinkClass]
-        busy, wait, nbytes = self._timeline.snapshot(self.horizon)
         traffic: dict[str, dict[str, dict]] = {}
         for (link_idx, cls), (messages, total_bytes, wait_s) in sorted(
             self._traffic.items()
@@ -442,10 +528,11 @@ class StreamingTraceStats:
                 "nbytes": total_bytes,
                 "wait_s": wait_s,
             }
+        windows = self._timeline.freeze(self.horizon)
         return TraceStats(
             n_ranks=self.n_ranks,
             horizon_s=self.horizon,
-            window_s=self._timeline.snapshot_width(self.horizon),
+            window_s=windows.window_s,
             latency_by_link={
                 link_names[i]: h.freeze() for i, h in enumerate(self._lat) if h.n
             },
@@ -453,11 +540,9 @@ class StreamingTraceStats:
                 link_names[i]: h.freeze() for i, h in enumerate(self._size) if h.n
             },
             flops_by_kernel={k: h.freeze() for k, h in sorted(self._kernels.items())},
-            busy_timeline=busy,
-            wait_timeline=wait,
-            recv_bytes_timeline=nbytes,
             link_traffic=traffic,
             hot_spots=self.top_hotspots(),
+            windows=windows,
         )
 
 

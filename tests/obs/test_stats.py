@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.gridsim.network import LinkClass
@@ -69,6 +71,32 @@ class TestHotSpots:
         assert len(spots) == 3
         assert [s.dest for s in spots] == [9, 8, 7]
 
+    def test_top_k_is_the_head_of_a_full_sort(self):
+        # Few distinct waits force ties, broken by (link, source, dest); the
+        # small cap sends late sites to the per-link overflow slots.
+        rng = random.Random(5)
+        stats = StreamingTraceStats(16, top_k=12, max_sites=40)
+        sites: dict[tuple[int, int, int], list] = {}
+        for _ in range(400):
+            link = rng.choice((INTRA_NODE, INTER))
+            source, dest = rng.randrange(16), rng.randrange(16)
+            wait = rng.choice((0.125, 0.25, 0.5))
+            _msg(stats, source=source, dest=dest, link=link, nbytes=8, wait=wait)
+            key = (link, source, dest)
+            if key not in sites and len(sites) >= 40:
+                key = (link, -1, -1)
+            totals = sites.setdefault(key, [0.0, 0, 0])
+            totals[0] += wait
+            totals[1] += 1
+            totals[2] += 8
+        assert any(key[1] == -1 for key in sites)
+        ranked = sorted(sites.items(), key=lambda kv: (-kv[1][0], *kv[0]))[:12]
+        names = [k.value for k in LinkClass]
+        assert [
+            (s.link, s.source, s.dest, s.wait_s, s.messages, s.nbytes)
+            for s in stats.top_hotspots()
+        ] == [(names[k[0]], k[1], k[2], *v) for k, v in ranked]
+
     def test_site_table_overflows_into_a_sentinel(self):
         stats = StreamingTraceStats(64, max_sites=2, top_k=10)
         _msg(stats, source=0, dest=1, wait=0.1)
@@ -106,3 +134,19 @@ class TestHorizon:
         _msg(stats, tag="reduce", send=0.0, recv=0.0)
         assert stats.horizon == 0.0
         assert stats.snapshot().recv_bytes_timeline == {}
+
+
+class TestSnapshotIsFrozen:
+    def test_later_events_do_not_reach_an_earlier_snapshot(self):
+        stats = StreamingTraceStats(4)
+        _msg(stats, wait=0.5, recv=2.0)
+        stats.on_flops(2, 1e6, "qr_leaf", 0.5, 1.5)
+        snap = stats.snapshot()  # no timeline read yet
+        before = (snap.busy_timeline, snap.wait_timeline, snap.recv_bytes_timeline)
+        fresh = stats.snapshot()
+        _msg(stats, wait=0.25, recv=900.0)  # grows rank 1's window width
+        stats.on_flops(3, 1e6, "qr_leaf", 0.5, 1.5)  # activates a rank
+        assert (fresh.busy_timeline, fresh.wait_timeline,
+                fresh.recv_bytes_timeline) == before
+        assert set(fresh.busy_timeline) == {2}
+        assert fresh.hot_spots[0].wait_s == 0.5

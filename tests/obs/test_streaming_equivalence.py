@@ -18,13 +18,19 @@ tests pin the equivalence contract from three directions:
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import pickle
+
+import pytest
 
 from repro.dag.runtime import DAGFactorizationConfig, run_dag_factorization
 from repro.gridsim.executor import SPMDExecutor
 from repro.obs.stats import stats_from_events
 from repro.tsqr.parallel import TSQRConfig, qcg_tsqr_program, run_parallel_tsqr
+
+from tests.conftest import make_platform
 
 CONFIG = TSQRConfig(m=262_144, n=32, n_domains=4, tree_kind="grid-hierarchical")
 
@@ -40,12 +46,30 @@ REPLAYABLE = (
 )
 
 
-#: Golden digests of the full snapshot (``_snapshot_digest``) of the SPMD
-#: TSQR run and the DAG CAQR run below on the 8-rank test platform, captured
-#: with the retired thread-per-rank backend and the coroutine engine agreeing.
+#: Golden digests of the full snapshot (``_snapshot_digest``).  ``spmd-tsqr``
+#: and ``dag-caqr`` are the SPMD TSQR run and the DAG CAQR run below on the
+#: 8-rank test platform, captured with the retired thread-per-rank backend
+#: and the coroutine engine agreeing.  ``tsqr-q-512`` and ``dag-cholesky-64``
+#: pin the snapshot at scale (:data:`AT_SCALE`), captured with per-rank row
+#: objects before the timelines moved to flat buffers: the TSQR run rebins
+#: every rank's row twice (1,024 rebins), as the 8192-rank benchmark does.
 SNAPSHOT_HASHES = {
     "spmd-tsqr": "546dd0a4f1baaeaac5e22664a6b530db02c3556e6fc688140695712838d0660d",
     "dag-caqr": "88e35c12595ab27acf9effb57f4f3c8529abdad19f7b1f95170e6cfad4970682",
+    "tsqr-q-512": "8d2994b2c23e2efcc1a7ae17975198c3196a5c78e226b18e53fb0d3053078999",
+    "dag-cholesky-64": "98f2fe140bb89aa984875d455f141c34c58c096d244d28b7d66f8f5c665cb7ae",
+}
+
+#: The at-scale runs behind the last two digests: 4 clusters x 64 nodes x 2
+#: (512 ranks) TSQR with explicit Q, and 4 x 8 x 2 (64 ranks) tiled Cholesky.
+AT_SCALE = {
+    "tsqr-q-512": lambda: run_parallel_tsqr(
+        make_platform(4, 64, 2), TSQRConfig(m=512 * 4096, n=64, want_q=True)
+    ),
+    "dag-cholesky-64": lambda: run_dag_factorization(
+        make_platform(4, 8, 2),
+        DAGFactorizationConfig(m=1024, n=1024, tile_size=64, algorithm="cholesky"),
+    ),
 }
 
 
@@ -187,3 +211,76 @@ class TestSnapshotContents:
         assert run.trace.stats is None
         run = run_parallel_tsqr(platform8, CONFIG)
         assert run.trace.stats is not None
+
+
+class TestSnapshotAtScale:
+    @pytest.mark.parametrize("name", sorted(AT_SCALE))
+    def test_snapshot_pinned(self, name):
+        assert _snapshot_digest(AT_SCALE[name]().trace) == SNAPSHOT_HASHES[name]
+
+    def test_hot_spots_are_ranked_once(self, platform8):
+        summary = _tsqr_run(platform8).trace
+        assert summary.hot_spots
+        assert summary.hot_spots is summary.stats.hot_spots
+
+    def test_pickled_snapshot_compares_equal(self):
+        summary = AT_SCALE["tsqr-q-512"]().trace
+        # Pickled before any timeline is read: only the raw rows travel.
+        clone = pickle.loads(pickle.dumps(summary))
+        assert clone.stats == summary.stats
+        assert _snapshot_digest(clone) == SNAPSHOT_HASHES["tsqr-q-512"]
+        # Pickled after a read, boxed timelines included.
+        again = pickle.loads(pickle.dumps(summary.stats))
+        assert again == summary.stats == clone.stats
+
+
+def _tracked_objects_alive(run) -> int:
+    """GC-tracked objects that ``run()`` leaves alive while its result is held."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        result = run()
+        alive = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    del result
+    return alive
+
+
+def _two_charges(ctx):
+    """Compute-only rank program: two flop charges, no message."""
+    ctx.compute(1e6, kernel="qr_leaf")
+    ctx.compute(2e6, kernel="qr_leaf")
+    return None
+    yield  # a generator, like every rank program
+
+
+FOOTPRINT_RUNS = {
+    "tsqr-q-512": lambda platform, streaming: run_parallel_tsqr(
+        platform, TSQRConfig(m=512 * 4096, n=64, want_q=True), streaming_stats=streaming
+    ),
+    "compute-only-512": lambda platform, streaming: SPMDExecutor(
+        platform, streaming_stats=streaming
+    ).run(_two_charges),
+}
+
+
+class TestObserverFootprint:
+    """The observer's retained objects follow events, not ranks x windows.
+
+    Per-rank row objects and eagerly boxed per-rank timeline tuples left
+    ~5-10 tracked objects per rank alive (5,201 on the 512-rank TSQR run,
+    2,584 on the compute-only one), which every full garbage collection
+    then re-scanned.
+    """
+
+    @pytest.mark.parametrize("name", sorted(FOOTPRINT_RUNS))
+    def test_streaming_adds_few_tracked_objects(self, name):
+        platform = make_platform(4, 64, 2)
+        run = FOOTPRINT_RUNS[name]
+        counts = {
+            streaming: _tracked_objects_alive(lambda: run(platform, streaming))
+            for streaming in (False, True)
+        }
+        assert counts[True] - counts[False] < 128, counts

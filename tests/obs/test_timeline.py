@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from math import frexp
+
 import pytest
 
 from repro.obs.timeline import WindowedTimeline
@@ -15,10 +18,16 @@ def test_rejects_non_power_of_two_window_counts():
 
 
 def test_rows_allocated_lazily():
+    # A rank's row exists only once it has activity: inactive ranks are
+    # absent from the snapshot.
     tl = WindowedTimeline(1024, n_windows=4, base_s=1.0)
-    assert tl._rows == {}
+    assert tl.snapshot(horizon=1.0) == ({}, {}, {})
+    assert tl.freeze(horizon=1.0).ranks.tolist() == []
     tl.add_busy(7, 0.5, 0.5)
-    assert set(tl._rows) == {7}
+    busy, wait, nbytes = tl.snapshot(horizon=1.0)
+    assert set(busy) == {7}
+    assert wait == {} and nbytes == {}
+    assert tl.freeze(horizon=1.0).ranks.tolist() == [7]
 
 
 def test_single_window_attribution():
@@ -57,12 +66,23 @@ def test_fold_is_equivalent_to_direct_binning():
 
 
 def test_snapshot_folds_copies_not_the_live_rows():
-    tl = WindowedTimeline(1, n_windows=4, base_s=1.0)
+    tl = WindowedTimeline(2, n_windows=4, base_s=1.0)
     tl.add_busy(0, 0.5, 1.0)
-    before = tuple(tl._rows[0][1])
+    tl.add_busy(0, 2.5, 2.0)
+    before = tl.snapshot(horizon=3.0)
+    assert before[0] == {0: (1.0, 0.0, 2.0, 0.0)}
     tl.snapshot(horizon=1000.0)  # forces folding to a much wider window
-    assert tuple(tl._rows[0][1]) == before
-    assert tl._rows[0][0] == 1.0  # width untouched
+    # The live row still bins at its own width, so the narrow view is back.
+    assert tl.snapshot(horizon=3.0) == before
+
+
+def test_frozen_rows_never_see_later_events():
+    tl = WindowedTimeline(2, n_windows=4, base_s=1.0)
+    tl.add_busy(0, 0.5, 1.0)
+    frozen = tl.freeze(horizon=1.0)
+    tl.add_busy(0, 0.5, 4.0)
+    tl.add_busy(1, 9.0, 1.0)  # activates a rank and grows the width
+    assert frozen.series() == ({0: (1.0, 0.0, 0.0, 0.0)}, {}, {})
 
 
 def test_snapshot_width_covers_the_horizon():
@@ -89,3 +109,56 @@ def test_bytes_series_stays_integer():
     _busy, _wait, nbytes = tl.snapshot(horizon=3.9)
     assert nbytes[0] == (7, 5)
     assert all(isinstance(v, int) for v in nbytes[0])
+
+
+def _reference_rows(events, *, n_windows, base_s):
+    """Per-rank rows rebinned by a full in-place scan of every window."""
+    rows: dict[int, list] = {}
+    for rank, series, t, value in events:
+        row = rows.get(rank)
+        if row is None:
+            width = base_s
+            if t >= n_windows * width:
+                width *= 2.0 ** frexp(t / (n_windows * width))[1]
+            row = rows[rank] = [width, [0.0] * n_windows, [0.0] * n_windows, [0] * n_windows]
+        width = row[0]
+        if int(t / width) >= n_windows:
+            shift = 0
+            while t >= n_windows * width:
+                width *= 2.0
+                shift += 1
+            for values in row[1:]:
+                for j in range(1, n_windows):
+                    v = values[j]
+                    if v:
+                        values[j >> shift] += v
+                        values[j] = 0 * v
+            row[0] = width
+        row[series][int(t / width)] += value
+    return rows
+
+
+def test_rebin_matches_a_full_scan_bit_for_bit():
+    # Float sums depend on addition order, so rebinning only the non-zero
+    # windows must add them in the full scan's (ascending) order.
+    rng = random.Random(11)
+    n_windows, base_s = 8, 1e-3
+    events = []
+    for _ in range(3000):
+        rank = rng.randrange(5)
+        series = rng.choice((1, 2, 3))
+        t = rng.random() * 10.0 ** rng.uniform(-3, 1)
+        value = rng.randrange(1, 1000) if series == 3 else rng.random() / 3.0
+        events.append((rank, series, t, value))
+    tl = WindowedTimeline(6, n_windows=n_windows, base_s=base_s)
+    add = {1: tl.add_busy, 2: tl.add_wait, 3: tl.add_bytes}
+    for rank, series, t, value in events:
+        add[series](rank, t, value)
+    reference = _reference_rows(events, n_windows=n_windows, base_s=base_s)
+    assert tl.width[5] == 0.0  # never active
+    for rank, (width, busy, wait, nbytes) in reference.items():
+        assert tl.width[rank] == width
+        window = slice(rank * n_windows, (rank + 1) * n_windows)
+        assert list(tl.busy[window]) == busy
+        assert list(tl.wait[window]) == wait
+        assert list(tl.nbytes[window]) == nbytes
